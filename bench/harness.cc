@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "fault/fault_injector.h"
@@ -46,13 +47,6 @@ std::string_view SchemeKindName(SchemeKind kind) {
       return "lazy-master";
   }
   return "?";
-}
-
-std::string_view DispatchLabel(const SimConfig& config) {
-  if (config.dispatch == runtime::ThreadRuntime::DispatchMode::kTurnBased) {
-    return "turn";
-  }
-  return config.steal_untagged ? "epoch+steal" : "epoch";
 }
 
 analytic::ModelParams ToModelParams(const SimConfig& config) {
@@ -104,14 +98,6 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
   copts.seed = config.seed;
   copts.enable_metrics = config.enable_metrics;
   copts.backend = config.backend;
-  copts.time_scale = config.time_scale;
-  copts.runtime.dispatch = config.dispatch;
-  copts.runtime.steal_untagged = config.steal_untagged;
-  copts.runtime.mailbox_capacity =
-      static_cast<std::size_t>(config.mailbox_capacity);
-  copts.runtime.overflow = config.overflow_shed
-                               ? runtime::ThreadRuntime::OverflowPolicy::kShed
-                               : runtime::ThreadRuntime::OverflowPolicy::kBlock;
   copts.wal.mode = config.durability;
   copts.wal.fsync = config.wal_fsync;
   copts.wal.wal_dir = config.wal_dir;
@@ -301,19 +287,22 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
       outcome.shard_digests.push_back(d);
     }
   }
-  if (cluster.thread_runtime() != nullptr) {
+  if (runtime::ThreadRuntime* rt = cluster.thread_runtime()) {
     // Join the workers now (idempotent — the destructor also does it)
     // so the runtime's kProfile metrics are published and its counters
     // are final before the snapshot below.
-    cluster.thread_runtime()->Shutdown();
-    outcome.runtime_dispatched = cluster.thread_runtime()->dispatched();
-    outcome.runtime_epochs = cluster.thread_runtime()->epochs();
-    outcome.runtime_epoch_width_max =
-        cluster.thread_runtime()->epoch_width_max();
-    outcome.runtime_steals = cluster.thread_runtime()->steal_count();
-    outcome.runtime_sheds = cluster.thread_runtime()->shed_count();
-    double sim_s = cluster.thread_runtime()->sim_seconds();
-    outcome.runtime_wall_seconds = cluster.thread_runtime()->wall_seconds();
+    rt->Shutdown();
+    outcome.runtime_dispatched = rt->dispatched();
+    outcome.runtime_epochs = rt->epochs();
+    outcome.runtime_epoch_width_max = rt->epoch_width_max();
+    for (std::uint32_t n = 0; n < rt->workers(); ++n) {
+      outcome.runtime_mailbox_pushed += rt->mailbox(n).pushed();
+      outcome.runtime_mailbox_max_depth =
+          std::max<std::uint64_t>(outcome.runtime_mailbox_max_depth,
+                                  rt->mailbox(n).max_depth());
+    }
+    double sim_s = rt->sim_seconds();
+    outcome.runtime_wall_seconds = rt->wall_seconds();
     outcome.wall_sim_ratio =
         sim_s > 0 ? outcome.runtime_wall_seconds / sim_s : 0;
   }
@@ -448,7 +437,6 @@ obs::Json ReportRow(const SimConfig& config, const SimOutcome& out) {
     row.Set("wal_replayed", out.wal_replayed);
   }
   if (config.backend == RuntimeBackend::kThreads) {
-    row.Set("dispatch", DispatchLabel(config));
     row.Set("runtime_epochs", out.runtime_epochs);
     row.Set("runtime_epoch_width_max", out.runtime_epoch_width_max);
   }

@@ -37,12 +37,6 @@ enum class SchemeKind {
 
 std::string_view SchemeKindName(SchemeKind kind);
 
-struct SimConfig;
-
-/// Canonical label of a threads config's dispatch mode: "turn",
-/// "epoch", or "epoch+steal". Report rows and E18's table carry it.
-std::string_view DispatchLabel(const SimConfig& config);
-
 /// One simulated run of the Table-2 workload model under a scheme.
 struct SimConfig {
   SchemeKind kind = SchemeKind::kEagerGroup;
@@ -118,21 +112,6 @@ struct SimConfig {
   // property.
   /// Execution backend for the cluster's event loop.
   RuntimeBackend backend = RuntimeBackend::kSim;
-  /// kThreads pacing: wall-seconds per sim-second (0 free-runs).
-  double time_scale = 0;
-  /// kThreads dispatch: turn-based (one event per coordinator round
-  /// trip) or epoch-parallel (same-timestamp events on distinct nodes
-  /// run concurrently). Digest-identical either way.
-  runtime::ThreadRuntime::DispatchMode dispatch =
-      runtime::ThreadRuntime::DispatchMode::kTurnBased;
-  /// Epoch dispatch only: untagged exclusive events ride worker lanes
-  /// and parallel-class spillover enters a work-stealing pool.
-  bool steal_untagged = false;
-  /// Mailbox depth bound; 0 = unbounded (no backpressure).
-  std::uint64_t mailbox_capacity = 0;
-  /// With a bounded mailbox: shed overfull pushes back to the sender
-  /// instead of blocking it.
-  bool overflow_shed = false;
   /// If true, drain all in-flight traffic after the measurement window
   /// (flush batch planes, run the event loop dry, lazy-master
   /// catch-up) before capturing digests — faulted runs always drain.
@@ -173,14 +152,15 @@ struct SimOutcome {
   /// kThreads only: events executed on worker threads (deterministic —
   /// a function of the event schedule, not of thread timing).
   std::uint64_t runtime_dispatched = 0;
-  /// Epoch dispatch only: waves executed / widest wave (deterministic —
+  /// kThreads only: waves executed / widest wave (deterministic —
   /// functions of the event schedule).
   std::uint64_t runtime_epochs = 0;
   std::uint64_t runtime_epoch_width_max = 0;
-  /// Epoch dispatch only: steal-pool grabs and backpressure sheds
-  /// (nondeterministic — excluded from equivalence comparisons).
-  std::uint64_t runtime_steals = 0;
-  std::uint64_t runtime_sheds = 0;
+  /// kThreads only: mailbox hand-offs summed over workers, and the
+  /// deepest any one mailbox got (deterministic — the chain plan is a
+  /// function of the event schedule).
+  std::uint64_t runtime_mailbox_pushed = 0;
+  std::uint64_t runtime_mailbox_max_depth = 0;
   /// kThreads only: wall-seconds per sim-second actually achieved
   /// (nondeterministic; excluded from any equivalence comparison).
   double wall_sim_ratio = 0;

@@ -13,7 +13,7 @@ namespace tdr::bench {
 
 namespace {
 
-constexpr int kConfigVersion = 1;
+constexpr int kConfigVersion = 2;
 
 void PutU64(std::string* out, const char* key, std::uint64_t v) {
   out->append(
@@ -61,7 +61,6 @@ std::string SerializeSimConfig(const SimConfig& c) {
   PutU64(&out, "record_series", c.record_series ? 1 : 0);
   PutF64(&out, "series_interval_seconds", c.series_interval_seconds);
   PutU64(&out, "backend", static_cast<std::uint64_t>(c.backend));
-  PutF64(&out, "time_scale", c.time_scale);
   PutU64(&out, "drain", c.drain ? 1 : 0);
   PutU64(&out, "run_invariant_checker", c.run_invariant_checker ? 1 : 0);
   return out;
@@ -164,8 +163,6 @@ bool ParseSimConfig(const std::string& text, SimConfig* out,
       out->series_interval_seconds = f;
     } else if (key == "backend") {
       out->backend = static_cast<RuntimeBackend>(u);
-    } else if (key == "time_scale") {
-      out->time_scale = f;
     } else if (key == "drain") {
       out->drain = u != 0;
     } else if (key == "run_invariant_checker") {

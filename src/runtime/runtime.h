@@ -97,9 +97,8 @@ class Runtime {
   ///    must not record metrics.
   ///
   /// The base implementations forward to the tagged variants: the
-  /// simulator (and turn-based dispatch) runs parallel-class events
-  /// exactly like any other, which is what makes the sim the oracle
-  /// for the parallel schedule.
+  /// simulator runs parallel-class events exactly like any other,
+  /// which is what makes the sim the oracle for the parallel schedule.
   virtual sim::EventId ScheduleParallelAtNode(std::uint32_t node, SimTime when,
                                               sim::Callback fn) {
     return ScheduleAtNode(node, when, std::move(fn));

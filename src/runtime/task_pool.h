@@ -60,7 +60,6 @@ class TaskPool {
   void Release(Task* t) {
     assert(in_use_ > 0 && "TaskPool::Release without matching Acquire");
     t->fn = nullptr;
-    t->done = nullptr;
     t->owned = nullptr;
     t->weight = 1;
     t->node = 0xffffffffu;

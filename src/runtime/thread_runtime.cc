@@ -1,6 +1,8 @@
 #include "runtime/thread_runtime.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace tdr::runtime {
@@ -41,23 +43,26 @@ class RunScope {
 /// tasks each see their own context.
 thread_local Task* tls_current_task = nullptr;
 
+[[noreturn]] void Fail(const char* what) {
+  std::fprintf(stderr, "ThreadRuntime: %s\n", what);
+  std::abort();
+}
+
 }  // namespace
 
 ThreadRuntime::ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
-                             Options options, obs::MetricsRegistry* metrics)
+                             Options /*options*/,
+                             obs::MetricsRegistry* metrics)
     : clock_(clock),
-      options_(options),
       metrics_(metrics),
-      pool_(std::make_shared<TaskPool>(
-          options.task_pool_capacity == 0 ? 1 : options.task_pool_capacity)),
+      pool_(std::make_shared<TaskPool>(kTaskPoolCapacity)),
       barrier_(num_nodes) {
-  if (metrics_ != nullptr && options_.dispatch == DispatchMode::kEpoch) {
+  if (metrics_ != nullptr) {
     epoch_width_profile_ = metrics_->GetProfile("runtime.epoch_width");
   }
   workers_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    workers_[i]->box.set_capacity(options_.mailbox_capacity);
   }
   // Spawn only after every Worker exists: a worker's loop touches just
   // its own slot, but the vector must not grow under it.
@@ -112,7 +117,7 @@ sim::EventId ThreadRuntime::RepeatEvery(SimTime interval, sim::Callback fn) {
   t->node = kAnyNode;
   sim::EventId id = clock_->RepeatEvery(
       interval, [this, lease = TaskLease(pool_, t)]() mutable {
-        OnRepeatFire(lease.get());
+        OnWrapperFire(lease.get());
       });
   t->origin = id;
   return id;
@@ -137,47 +142,11 @@ bool ThreadRuntime::Cancel(sim::EventId id) {
 }
 
 void ThreadRuntime::OnWrapperFire(Task* task) {
-  if (collecting_) {
-    plan_.push_back(task);
-    return;
+  if (!collecting_) {
+    Fail("a runtime event fired outside wave collection: the underlying "
+         "Simulator was run directly instead of through the runtime");
   }
-  RunImmediate(task);
-}
-
-void ThreadRuntime::OnRepeatFire(Task* task) {
-  if (collecting_) {
-    plan_.push_back(task);
-    return;
-  }
-  RunImmediate(task);
-}
-
-void ThreadRuntime::RunImmediate(Task* task) {
-  const bool one_shot = task->fn == nullptr;
-  const std::uint32_t node = task->node;
-  if (node >= workers_.size() || stopped_) {
-    ++inline_events_;
-    RunTaskBody(task);
-  } else {
-    task->done = &gate_;
-    task->weight = 1;
-    gate_.Reset();
-    if (workers_[node]->box.Push(task)) {
-      ++dispatched_;
-      gate_.Wait();
-    } else {
-      // Closed mailbox (shutdown race): degrade to inline execution —
-      // same order, same result, just no thread hop.
-      task->done = nullptr;
-      ++inline_events_;
-      RunTaskBody(task);
-    }
-  }
-  if (one_shot) {
-    pool_->Release(task);
-  } else {
-    task->done = nullptr;  // repeat tick: the wrapper keeps the task
-  }
+  plan_.push_back(task);
 }
 
 void ThreadRuntime::RunTaskBody(Task* task) {
@@ -194,84 +163,43 @@ void ThreadRuntime::RunTaskBody(Task* task) {
   tls_current_task = prev;
 }
 
-void ThreadRuntime::RunChainFrom(Task* head, Worker* worker) {
-  Task* chain = head;
-  while (chain != nullptr) {
-    Task* next_chain = nullptr;
-    for (Task* t = chain; t != nullptr;) {
-      Task* next = t->run_next;
-      if (t->cls == ExecClass::kExclusive && plan_cursor_ < t->plan_index) {
-        // Execution progress for Cancel's sweep; ordered by the baton.
-        plan_cursor_ = t->plan_index;
-      }
-      if (!t->cancelled) {
-        if (worker != nullptr) {
-          SteadyClock::time_point start = SteadyClock::now();
-          RunTaskBody(t);
-          worker->busy += SteadyClock::now() - start;
-          ++worker->executed;
-        } else {
-          RunTaskBody(t);
-        }
-      }
-      if (next == nullptr) {
-        // Chain tail. Read everything needed before signalling: once
-        // the gate fires the coordinator may recycle the task.
-        Task* succ = t->chain_next;
-        EpochGate* arrive = t->epoch_gate;
-        Gate* done = t->done;
-        if (succ != nullptr) {
-          // Baton hand-off: push the successor chain straight to its
-          // worker — one wake per node switch instead of two per event.
-          Mailbox& box = workers_[succ->exec_node]->box;
-          Mailbox::PushResult r = box.PushChain(
-              succ, options_.overflow == OverflowPolicy::kBlock);
-          if (r != Mailbox::PushResult::kOk) {
-            if (r == Mailbox::PushResult::kFull) {
-              sheds_.fetch_add(1, std::memory_order_relaxed);
-            }
-            next_chain = succ;  // full or closed: run it on this thread
-          }
-        }
-        if (arrive != nullptr) {
-          arrive->Arrive();
-          if (worker != nullptr && options_.steal_untagged) {
-            DrainStealPool(worker);
-          }
-        }
-        if (done != nullptr) done->Signal();
-      }
-      t = next;
+void ThreadRuntime::RunChain(Task* head, Worker* worker) {
+  for (Task* t = head; t != nullptr;) {
+    Task* next = t->run_next;
+    if (t->cls == ExecClass::kExclusive && plan_cursor_ < t->plan_index) {
+      // Execution progress for Cancel's sweep; ordered by the baton.
+      plan_cursor_ = t->plan_index;
     }
-    chain = next_chain;
-  }
-}
-
-void ThreadRuntime::DrainStealPool(Worker* worker) {
-  while (Task* t = steal_box_.TryPop()) {
     if (!t->cancelled) {
-      if (worker != nullptr) {
-        SteadyClock::time_point start = SteadyClock::now();
-        RunTaskBody(t);
-        worker->busy += SteadyClock::now() - start;
-        ++worker->executed;
-        steals_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        RunTaskBody(t);
-      }
+      SteadyClock::time_point start = SteadyClock::now();
+      RunTaskBody(t);
+      worker->busy += SteadyClock::now() - start;
     }
-    if (t->epoch_gate != nullptr) t->epoch_gate->Arrive();
+    if (next == nullptr) {
+      // Chain tail. Read everything needed before signalling: once
+      // the gate fires the coordinator may recycle the task.
+      Task* succ = t->chain_next;
+      EpochGate* arrive = t->epoch_gate;
+      // Baton hand-off: push the successor chain straight to its
+      // worker — one wake per node switch, no coordinator round-trip.
+      if (succ != nullptr) Hand(succ);
+      if (arrive != nullptr) arrive->Arrive();
+    }
+    t = next;
   }
 }
 
-std::uint32_t ThreadRuntime::LaneOf(const Task* task,
-                                    std::uint32_t prev_worker) const {
-  if (stopped_ || workers_.empty()) return kCoord;
-  if (task->node < workers_.size()) return task->node;
-  if (!options_.steal_untagged) return kCoord;
-  if (task->cls == ExecClass::kParallel) return kStealPool;
-  // Untagged exclusive with stealing on: ride the chain in progress.
-  return prev_worker < workers_.size() ? prev_worker : 0;
+void ThreadRuntime::Hand(Task* head) {
+  // Mailboxes close only in Shutdown(), after which every lane is the
+  // coordinator's, so no push can fail while a wave is running.
+  if (!workers_[head->node]->box.Push(head)) {
+    Fail("a worker mailbox closed while a wave was running");
+  }
+}
+
+std::uint32_t ThreadRuntime::LaneOf(const Task* task) const {
+  if (stopped_ || task->node >= workers_.size()) return kCoord;
+  return task->node;
 }
 
 std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
@@ -281,7 +209,6 @@ std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
   SimTime next;
   while (ran < max_events && clock_->PeekNextTime(&next) &&
          (!bounded_horizon || next <= horizon)) {
-    if (options_.time_scale > 0) Pace(next);
     // Collect one WAVE: every ready event at `next`. Firing wrappers
     // append their tasks to the plan instead of dispatching. Events a
     // wave schedules back at the same timestamp (zero-delay follow-ups)
@@ -292,7 +219,15 @@ std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
     const std::uint64_t budget = max_events - ran;
     std::uint64_t steps = 0;
     while (steps < budget) {
+      const std::size_t planned = plan_.size();
       if (!clock_->Step()) break;
+      if (plan_.size() != planned + 1) {
+        // The step fired a callback that is not a runtime wrapper: an
+        // event scheduled directly on the underlying Simulator, which
+        // just ran mid-wave, ahead of lower-seq collected events.
+        Fail("an event scheduled directly on the underlying Simulator "
+             "ran during wave collection; schedule through the runtime");
+      }
       ++steps;
       SimTime t2;
       if (!clock_->PeekNextTime(&t2) || t2 != next) break;
@@ -310,7 +245,6 @@ void ThreadRuntime::ExecuteWave() {
   if (n == 0) return;
   ++epochs_;
   if (n > epoch_width_max_) epoch_width_max_ = n;
-  if (n > plan_high_water_) plan_high_water_ = n;
   epoch_width_profile_.Record(static_cast<double>(n));
   plan_cursor_ = 0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -325,10 +259,8 @@ void ThreadRuntime::ExecuteWave() {
       while (j < n && plan_[j]->cls == ExecClass::kParallel) ++j;
       ExecParallelGroup(i, j);
       i = j;
-    } else if (LaneOf(t, kCoord) == kCoord) {
-      // Untagged exclusive without stealing: inline on the
-      // coordinator, exactly like turn-based dispatch.
-      t->exec_node = kCoord;
+    } else if (LaneOf(t) == kCoord) {
+      // Untagged exclusive: inline on the coordinator.
       plan_cursor_ = i;
       if (!t->cancelled) RunTaskBody(t);
       ++i;
@@ -337,7 +269,7 @@ void ThreadRuntime::ExecuteWave() {
       // segment, retired with one barrier.
       std::size_t j = i;
       while (j < n && plan_[j]->cls == ExecClass::kExclusive &&
-             LaneOf(plan_[j], 0) != kCoord) {
+             LaneOf(plan_[j]) != kCoord) {
         ++j;
       }
       ExecSerialSegment(i, j);
@@ -345,13 +277,11 @@ void ThreadRuntime::ExecuteWave() {
     }
   }
   plan_cursor_ = n;
-  // Planned-lane accounting, applied after the wave so cancellation is
-  // settled: deterministic even when sheds/steals move actual
-  // execution around (see dispatched()).
+  // Lane accounting, applied after the wave so cancellation is settled.
   for (std::size_t k = 0; k < n; ++k) {
     Task* t = plan_[k];
     if (t->cancelled) continue;
-    if (t->exec_node == kCoord) {
+    if (LaneOf(t) == kCoord) {
       ++inline_events_;
     } else {
       ++dispatched_;
@@ -360,24 +290,7 @@ void ThreadRuntime::ExecuteWave() {
 }
 
 void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
-  // Resolve lanes left to right; untagged tasks (stealing on) ride the
-  // chain they interrupt, or the first tagged successor when leading.
-  std::uint32_t prev = kCoord;
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    std::uint32_t lane = LaneOf(t, prev);
-    if (prev == kCoord && t->node >= workers_.size()) {
-      for (std::size_t m = k + 1; m < end; ++m) {
-        if (plan_[m]->node < workers_.size()) {
-          lane = plan_[m]->node;
-          break;
-        }
-      }
-    }
-    t->exec_node = lane;
-    prev = lane;
-  }
-  // Chain consecutive same-lane tasks (zero hand-offs inside a chain);
+  // Chain consecutive same-node tasks (zero hand-offs inside a chain);
   // baton-link each chain's tail to the next chain's head; the last
   // tail owes the segment barrier.
   Task* first_chain = nullptr;
@@ -389,9 +302,8 @@ void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
     t->run_next = nullptr;
     t->chain_next = nullptr;
     t->epoch_gate = nullptr;
-    t->done = nullptr;
     t->weight = 1;
-    if (chain_head != nullptr && t->exec_node == chain_head->exec_node) {
+    if (chain_head != nullptr && t->node == chain_head->node) {
       tail->run_next = t;
       tail = t;
       ++chain_len;
@@ -410,15 +322,7 @@ void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
   chain_head->weight = chain_len;
   tail->epoch_gate = &epoch_gate_;
   epoch_gate_.Reset(1);
-  Mailbox& box = workers_[first_chain->exec_node]->box;
-  Mailbox::PushResult r =
-      box.PushChain(first_chain, options_.overflow == OverflowPolicy::kBlock);
-  if (r != Mailbox::PushResult::kOk) {
-    if (r == Mailbox::PushResult::kFull) {
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    RunChainFrom(first_chain, nullptr);
-  }
+  Hand(first_chain);
   epoch_gate_.Wait();
 }
 
@@ -426,68 +330,40 @@ void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
   const std::size_t num_workers = workers_.size();
   group_heads_.assign(num_workers, nullptr);
   group_tails_.assign(num_workers, nullptr);
-  shed_chains_.clear();
   std::size_t chains = 0;
-  std::size_t steal_tasks = 0;
   for (std::size_t k = begin; k < end; ++k) {
     Task* t = plan_[k];
     t->run_next = nullptr;
     t->chain_next = nullptr;
     t->epoch_gate = nullptr;
-    t->done = nullptr;
     t->weight = 1;
     t->parallel_group = true;
-    const std::uint32_t lane = LaneOf(t, kCoord);
-    t->exec_node = lane;
-    if (lane < num_workers) {
-      // Same-node tasks keep FIFO order in one chain per worker.
-      if (group_heads_[lane] == nullptr) {
-        group_heads_[lane] = t;
-        ++chains;
-      } else {
-        group_tails_[lane]->run_next = t;
-        ++group_heads_[lane]->weight;
-      }
-      group_tails_[lane] = t;
-    } else if (lane == kStealPool) {
-      ++steal_tasks;
+    const std::uint32_t lane = LaneOf(t);
+    if (lane == kCoord) continue;
+    // Same-node tasks keep FIFO order in one chain per worker.
+    if (group_heads_[lane] == nullptr) {
+      group_heads_[lane] = t;
+      ++chains;
+    } else {
+      group_tails_[lane]->run_next = t;
+      ++group_heads_[lane]->weight;
     }
+    group_tails_[lane] = t;
   }
   // Arm the barrier before anything is in flight: one arrival per
-  // chain (its tail) plus one per steal-pool task.
-  epoch_gate_.Reset(chains + steal_tasks);
+  // chain (its tail).
+  epoch_gate_.Reset(chains);
   for (std::size_t node = 0; node < num_workers; ++node) {
     Task* head = group_heads_[node];
     if (head == nullptr) continue;
     group_tails_[node]->epoch_gate = &epoch_gate_;
-    Mailbox::PushResult r = workers_[node]->box.PushChain(
-        head, options_.overflow == OverflowPolicy::kBlock);
-    if (r == Mailbox::PushResult::kOk) continue;
-    if (r == Mailbox::PushResult::kFull) {
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shed_chains_.push_back(head);
+    Hand(head);
   }
-  if (steal_tasks > 0) {
-    for (std::size_t k = begin; k < end; ++k) {
-      Task* t = plan_[k];
-      if (t->exec_node != kStealPool) continue;
-      t->epoch_gate = &epoch_gate_;
-      if (steal_box_.PushChain(t, false) != Mailbox::PushResult::kOk) {
-        // Closed (shutdown): run inline, still settle the barrier.
-        if (!t->cancelled) RunTaskBody(t);
-        epoch_gate_.Arrive();
-      }
-    }
-  }
-  // The coordinator's share while workers chew: chains shed by full
-  // mailboxes, its own untagged tasks, then help drain the steal pool.
-  for (Task* head : shed_chains_) RunChainFrom(head, nullptr);
+  // The coordinator's share while workers chew: its untagged tasks.
   for (std::size_t k = begin; k < end; ++k) {
     Task* t = plan_[k];
-    if (t->exec_node == kCoord && !t->cancelled) RunTaskBody(t);
+    if (LaneOf(t) == kCoord && !t->cancelled) RunTaskBody(t);
   }
-  DrainStealPool(nullptr);
   epoch_gate_.Wait();
   // Replay deferred schedules in plan-slot order — identical sequence
   // assignment to the serial oracle, which ran each callback (and its
@@ -507,7 +383,6 @@ void ThreadRuntime::ReleaseWave() {
     if (t->fn != nullptr) {
       // Repeat-series task: owned by its wrapper for the series' life;
       // clear only the wave-transient state.
-      t->done = nullptr;
       t->weight = 1;
       t->parallel_group = false;
       t->cancelled = false;
@@ -524,68 +399,30 @@ void ThreadRuntime::ReleaseWave() {
 void ThreadRuntime::WorkerLoop(std::uint32_t index) {
   Worker& w = *workers_[index];
   while (Task* task = w.box.Pop()) {
-    RunChainFrom(task, &w);
+    RunChain(task, &w);
   }
   // Mailbox closed and drained: rendezvous so no worker exits while a
   // sibling still holds undrained work.
   barrier_.ArriveAndWait();
 }
 
-void ThreadRuntime::Pace(SimTime next) {
-  if (!pace_anchored_) {
-    pace_anchored_ = true;
-    pace_wall_start_ = SteadyClock::now();
-    pace_sim_start_ = clock_->Now();
-  }
-  double sim_elapsed = (next - pace_sim_start_).seconds();
-  if (sim_elapsed <= 0) return;
-  std::this_thread::sleep_until(
-      pace_wall_start_ +
-      std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(sim_elapsed * options_.time_scale)));
-}
-
 std::uint64_t ThreadRuntime::RunUntil(SimTime horizon) {
   RunScope scope(&wall_seconds_, &sim_seconds_, clock_);
-  if (options_.dispatch == DispatchMode::kEpoch && !stopped_) {
-    std::uint64_t ran = RunEpochs(horizon, ~std::uint64_t{0}, true);
-    // Nothing left at or before the horizon; advance Now() to it,
-    // exactly as the sim backend does.
-    clock_->RunUntil(horizon);
-    return ran;
-  }
-  if (options_.time_scale <= 0) return clock_->RunUntil(horizon);
-  std::uint64_t ran = 0;
-  SimTime next;
-  while (clock_->PeekNextTime(&next) && next <= horizon) {
-    Pace(next);
-    if (!clock_->Step()) break;
-    ++ran;
-  }
+  std::uint64_t ran = RunEpochs(horizon, ~std::uint64_t{0}, true);
+  // Nothing left at or before the horizon; advance Now() to it,
+  // exactly as the sim backend does.
   clock_->RunUntil(horizon);
   return ran;
 }
 
 std::uint64_t ThreadRuntime::Run(std::uint64_t max_events) {
   RunScope scope(&wall_seconds_, &sim_seconds_, clock_);
-  if (options_.dispatch == DispatchMode::kEpoch && !stopped_) {
-    return RunEpochs(SimTime::Zero(), max_events, false);
-  }
-  if (options_.time_scale <= 0) return clock_->Run(max_events);
-  std::uint64_t ran = 0;
-  SimTime next;
-  while (ran < max_events && clock_->PeekNextTime(&next)) {
-    Pace(next);
-    if (!clock_->Step()) break;
-    ++ran;
-  }
-  return ran;
+  return RunEpochs(SimTime::Zero(), max_events, false);
 }
 
 void ThreadRuntime::Shutdown() {
   if (stopped_) return;
   stopped_ = true;
-  steal_box_.Close();
   for (auto& w : workers_) w->box.Close();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
@@ -593,27 +430,14 @@ void ThreadRuntime::Shutdown() {
   PublishMetrics();
 }
 
-double ThreadRuntime::worker_busy_seconds() const {
-  double total = 0;
-  for (const auto& w : workers_) total += ToSeconds(w->busy);
-  return total;
-}
-
-std::uint64_t ThreadRuntime::backpressure_stalls() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->box.stalls();
-  return total;
-}
-
 void ThreadRuntime::PublishMetrics() {
   if (metrics_ == nullptr) return;
   // Wall-clock-derived values go to kProfile metrics only: they are
   // nondeterministic by nature and must never leak into deterministic
   // snapshots (obs::SnapshotOptions excludes kProfile by default).
-  // That covers the epoch-shape numbers too: steal and shed counts
-  // depend on which thread won a race, and keeping the whole family
-  // kProfile keeps threads-backend snapshots bit-identical to the sim
-  // oracle's.
+  // The epoch-shape numbers are kProfile too, so the whole runtime.*
+  // family stays out of snapshots and threads-backend snapshots stay
+  // bit-identical to the sim oracle's.
   obs::MetricsRegistry::StatsHandle busy =
       metrics_->GetProfile("runtime.worker_busy_seconds");
   obs::MetricsRegistry::StatsHandle depth =
@@ -631,24 +455,10 @@ void ThreadRuntime::PublishMetrics() {
     metrics_->GetProfile("runtime.wall_sim_ratio")
         .Record(wall_seconds_ / sim_seconds_);
   }
-  // Coordinator dispatch-queue high-water mark (plan slots), the
-  // backpressure-tuning signal mailbox_max_depth alone can't give.
-  metrics_->GetProfile("runtime.dispatch_queue_max_depth")
-      .Record(static_cast<double>(plan_high_water_));
-  if (options_.dispatch == DispatchMode::kEpoch) {
-    metrics_->GetProfile("runtime.epoch_count")
-        .Record(static_cast<double>(epochs_));
-    metrics_->GetProfile("runtime.epoch_width_max")
-        .Record(static_cast<double>(epoch_width_max_));
-    metrics_->GetProfile("runtime.epoch_steals")
-        .Record(static_cast<double>(steal_count()));
-  }
-  if (options_.mailbox_capacity != 0) {
-    metrics_->GetProfile("runtime.backpressure_stalls")
-        .Record(static_cast<double>(backpressure_stalls()));
-    metrics_->GetProfile("runtime.backpressure_sheds")
-        .Record(static_cast<double>(shed_count()));
-  }
+  metrics_->GetProfile("runtime.epoch_count")
+      .Record(static_cast<double>(epochs_));
+  metrics_->GetProfile("runtime.epoch_width_max")
+      .Record(static_cast<double>(epoch_width_max_));
 }
 
 }  // namespace tdr::runtime

@@ -1,7 +1,6 @@
 #ifndef TDR_RUNTIME_THREAD_RUNTIME_H_
 #define TDR_RUNTIME_THREAD_RUNTIME_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -26,83 +25,53 @@ namespace tdr::runtime {
 /// without giving up the semantics the paper's model (and the sim
 /// oracle) defines. The backend wraps the cluster's own sim::Simulator
 /// as the virtual clock and event order, and a coordinator (whoever
-/// calls Run/RunUntil) drives it in one of two dispatch modes:
+/// calls Run/RunUntil) drives it in epochs: it collects every ready
+/// event that shares the next virtual timestamp into one WAVE, plans
+/// it into segments, and retires each segment with a single counted
+/// barrier. Runs of same-node events collapse into chains (zero
+/// hand-offs inside a chain); at a node switch the finishing worker
+/// batons the next chain directly to its peer's mailbox (one wake per
+/// switch); and consecutive ScheduleParallel* events on distinct
+/// nodes — callbacks that touch only node-private state, see
+/// runtime.h — genuinely overlap across workers. Untagged (kAnyNode)
+/// events run inline on the coordinator.
 ///
-///  * kTurnBased (default): the coordinator pops events one at a time
-///    in exactly the sim's (time, seq) order, hands each node-tagged
-///    callback to its worker's mailbox, and blocks on a completion
-///    gate until the worker has run it. kAnyNode events run inline.
-///  * kEpoch: the coordinator collects every ready event that shares
-///    the next virtual timestamp into one WAVE, plans it into
-///    segments, and retires each segment with a single counted
-///    barrier instead of a per-event gate round-trip. Runs of
-///    same-node events collapse into chains (zero hand-offs inside a
-///    chain); at a node switch the finishing worker batons the next
-///    chain directly to its peer's mailbox (one wake instead of two);
-///    and consecutive ScheduleParallel* events on distinct nodes —
-///    callbacks that touch only node-private state, see runtime.h —
-///    genuinely overlap across workers. Untagged events run inline on
-///    the coordinator as in turn-based mode, or (steal_untagged) ride
-///    the current chain / enter a work-stealing pool that idle chain
-///    finishers drain.
+/// The oracle contract holds by construction: exclusive events execute
+/// in exact (time, seq) order (chains and batons are just cheap
+/// signalling for the same total order), parallel groups only contain
+/// events whose mutual order is unobservable, and schedules issued
+/// inside a parallel group are deferred and replayed in plan-slot
+/// order so sequence numbers come out exactly as the serial sim would
+/// have assigned them. runtime_differential_test checks every scheme
+/// against the sim oracle.
 ///
-/// Epoch mode preserves the oracle contract by construction: exclusive
-/// events still execute in exact (time, seq) order (chains and batons
-/// are just cheaper signalling for the same total order), parallel
-/// groups only contain events whose mutual order is unobservable, and
-/// schedules issued inside a parallel group are deferred and replayed
-/// in plan-slot order so sequence numbers come out exactly as the
-/// serial sim would have assigned them. The differential suite sweeps
-/// both modes (× stealing × backpressure) against the sim oracle.
+/// Every event must be scheduled THROUGH this runtime (true for the
+/// whole cluster): an event scheduled directly on the underlying
+/// simulator would execute during wave collection, ahead of lower-seq
+/// collected events. RunEpochs checks this on every step and aborts
+/// on a violation.
 ///
-/// Epoch mode requires every event to be scheduled THROUGH this
-/// runtime (true for the whole cluster): events scheduled directly on
-/// the underlying simulator would execute during wave collection,
-/// ahead of lower-seq collected events.
-///
-/// Dispatch is allocation-free in both modes: scheduling acquires a
-/// pooled Task (runtime/task_pool.h), moves the callback into it, and
-/// registers a two-pointer wrapper with the event core — inside
-/// sim::Callback's inline buffer, so steady state allocates nothing
+/// Dispatch is allocation-free: scheduling acquires a pooled Task
+/// (runtime/task_pool.h), moves the callback into it, and registers a
+/// two-pointer wrapper with the event core — inside sim::Callback's
+/// inline buffer, so steady state allocates nothing
 /// (runtime_task_pool_test pins this with the alloc-audit harness).
 ///
-/// Backpressure (off by default): `mailbox_capacity` bounds each
-/// worker mailbox's queued task weight; a full mailbox either blocks
-/// the producer (kBlock — safe: consumers drain unconditionally) or
-/// sheds the chain to the producer, which runs it inline (kShed —
-/// order preserved, just no hand-off). Both keep results bit-identical
-/// to the oracle; only wall-clock pacing changes.
-///
-/// Wall-clock pacing: with `time_scale` > 0 the coordinator sleeps
-/// each event (turn-based) or wave (epoch) until its virtual time maps
-/// to the wall clock (wall_seconds = sim_seconds * time_scale).
+/// Mailboxes are unbounded and need no backpressure: the coordinator
+/// waits on every segment's barrier before planning the next, so a
+/// mailbox never holds more than one chain and its depth never exceeds
+/// the widest wave.
 class ThreadRuntime final : public Runtime {
  public:
+  /// Epoch dispatch is the only mode. The enum and Options::dispatch
+  /// stay only so that perfledger's `dispatch = DispatchMode::kEpoch`
+  /// keeps compiling.
   enum class DispatchMode : std::uint8_t {
-    kTurnBased = 0,
     kEpoch = 1,
   };
 
-  /// What a bounded mailbox does when a push would overflow it.
-  enum class OverflowPolicy : std::uint8_t {
-    kBlock = 0,  // producer waits for room (counted as a stall)
-    kShed = 1,   // producer runs the chain inline (counted as a shed)
-  };
-
   struct Options {
-    /// Wall-seconds per sim-second; 0 = run as fast as dispatch allows.
-    double time_scale = 0;
-    DispatchMode dispatch = DispatchMode::kTurnBased;
-    /// Epoch mode: untagged (kAnyNode) events ride the current chain
-    /// (exclusive) or enter the work-stealing pool (parallel-class)
-    /// instead of running inline on the coordinator.
-    bool steal_untagged = false;
-    /// Max queued task weight per worker mailbox; 0 = unbounded.
-    std::size_t mailbox_capacity = 0;
-    OverflowPolicy overflow = OverflowPolicy::kBlock;
-    /// Pooled task wrappers materialized at birth; exhaustion grows
-    /// the pool (counted, see TaskPool::grow_events).
-    std::size_t task_pool_capacity = 256;
+    DispatchMode dispatch = DispatchMode::kEpoch;
   };
 
   /// `clock` is the cluster's own simulator, used as virtual clock and
@@ -169,42 +138,23 @@ class ThreadRuntime final : public Runtime {
     return workers_[node]->box;
   }
   /// Events executed on worker threads / inline on the coordinator.
-  /// Both are deterministic: epoch mode classifies by the PLANNED lane
-  /// (a shed chain the coordinator ran for a full mailbox still counts
-  /// as dispatched), so the split is a pure function of the seeded
-  /// scenario, not of wall-clock races.
+  /// Both are deterministic: the split is a pure function of the
+  /// seeded scenario, not of wall-clock races.
   std::uint64_t dispatched() const { return dispatched_; }
   std::uint64_t inline_events() const { return inline_events_; }
-  /// Epoch-mode shape: waves executed, widest wave, and the
-  /// coordinator's dispatch-queue high-water mark (plan slots).
+  /// Epoch shape: waves executed and the widest wave (plan slots).
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t epoch_width_max() const { return epoch_width_max_; }
-  std::size_t dispatch_queue_max_depth() const { return plan_high_water_; }
-  /// Untagged tasks drained from the steal pool by node workers, and
-  /// chains shed to their producer by a full mailbox. Wall-clock-racy
-  /// (kProfile-only), unlike the planned counters above.
-  std::uint64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t shed_count() const {
-    return sheds_.load(std::memory_order_relaxed);
-  }
-  /// Times a bounded mailbox push had to wait for room.
-  std::uint64_t backpressure_stalls() const;
   const TaskPool& task_pool() const { return *pool_; }
   /// Wall-clock seconds spent inside Run/RunUntil, and the virtual
   /// seconds they advanced — their ratio is the wall/sim speed metric.
   double wall_seconds() const { return wall_seconds_; }
   double sim_seconds() const { return sim_seconds_; }
-  /// Total wall-clock seconds workers spent executing callbacks. Only
-  /// stable after Shutdown() (the destructor calls it).
-  double worker_busy_seconds() const;
 
  private:
   struct Worker {
     Mailbox box;
     std::chrono::steady_clock::duration busy{};
-    std::uint64_t executed = 0;
     std::thread thread;
   };
 
@@ -249,20 +199,16 @@ class ThreadRuntime final : public Runtime {
   /// parallel group, else registers a pooled wrapper with the clock.
   sim::EventId Schedule(std::uint32_t node, SimTime when, sim::Callback fn,
                         ExecClass cls);
-  /// Wrapper fire: appends to the wave plan (collecting) or executes
-  /// immediately (turn-based / stopped).
+  /// Wrapper fire (one-shot or repeat tick): appends to the wave plan.
   void OnWrapperFire(Task* task);
-  void OnRepeatFire(Task* task);
-  /// Turn-based per-event protocol: run on `task->node`'s worker
-  /// (blocking on the gate) or inline; releases one-shot tasks.
-  void RunImmediate(Task* task);
   /// Invokes the task's callback (borrowed or owned) with the
   /// deferred-schedule context set.
   void RunTaskBody(Task* task);
-  /// Runs a chain and its baton successors that land back on this
-  /// thread (shed/closed mailboxes); `worker` null on the coordinator.
-  void RunChainFrom(Task* head, Worker* worker);
-  void DrainStealPool(Worker* worker);
+  /// Worker side: runs a chain, then batons its successor chain to
+  /// the next worker or arrives at the segment barrier.
+  void RunChain(Task* head, Worker* worker);
+  /// Queues a chain on its node's worker.
+  void Hand(Task* head);
 
   // --- Epoch engine (coordinator only) ------------------------------
   std::uint64_t RunEpochs(SimTime horizon, std::uint64_t max_events,
@@ -270,29 +216,25 @@ class ThreadRuntime final : public Runtime {
   void ExecuteWave();
   void ExecSerialSegment(std::size_t begin, std::size_t end);
   void ExecParallelGroup(std::size_t begin, std::size_t end);
-  /// Resolved executor for a planned task: a worker index, kCoord, or
-  /// kStealPool. `prev_worker` carries the chain context for
-  /// baton-riding untagged exclusive tasks.
-  std::uint32_t LaneOf(const Task* task, std::uint32_t prev_worker) const;
+  /// Executor for a planned task: its node's worker, or kCoord for
+  /// untagged tasks and after Shutdown().
+  std::uint32_t LaneOf(const Task* task) const;
   void ReleaseWave();
 
   void WorkerLoop(std::uint32_t index);
-  /// Sleeps until `next` maps onto the wall clock (time_scale > 0).
-  void Pace(SimTime next);
   void PublishMetrics();
 
   static constexpr std::uint32_t kCoord = 0xfffffffeu;
-  static constexpr std::uint32_t kStealPool = 0xfffffffdu;
+  /// Pooled task wrappers materialized at birth; exhaustion grows the
+  /// pool (counted, see TaskPool::grow_events).
+  static constexpr std::size_t kTaskPoolCapacity = 256;
 
   sim::Simulator* clock_;
-  Options options_;
   obs::MetricsRegistry* metrics_;
   std::shared_ptr<TaskPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   StopBarrier barrier_;
-  Gate gate_;  // one dispatch in flight at a time (turn-based)
-  EpochGate epoch_gate_;   // one per in-flight segment (epoch)
-  Mailbox steal_box_;      // untagged parallel tasks, any worker drains
+  EpochGate epoch_gate_;  // one per in-flight segment
   bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
   std::uint64_t inline_events_ = 0;
@@ -300,24 +242,17 @@ class ThreadRuntime final : public Runtime {
   // Wave state (coordinator-owned; workers see tasks via mailbox HB).
   bool collecting_ = false;
   std::vector<Task*> plan_;
-  std::size_t plan_high_water_ = 0;
   /// Plan index currently executing — the floor of Cancel's sweep.
   /// Written by whichever thread runs each exclusive task; the baton
   /// hand-off orders every write-then-read.
   std::size_t plan_cursor_ = 0;
   std::uint64_t epochs_ = 0;
   std::uint64_t epoch_width_max_ = 0;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> sheds_{0};
   // Scratch reused across waves (capacity sticks, no per-wave allocs).
   std::vector<Task*> group_heads_;
   std::vector<Task*> group_tails_;
-  std::vector<Task*> shed_chains_;
   obs::MetricsRegistry::StatsHandle epoch_width_profile_;
 
-  bool pace_anchored_ = false;
-  std::chrono::steady_clock::time_point pace_wall_start_;
-  SimTime pace_sim_start_;
   double wall_seconds_ = 0;
   double sim_seconds_ = 0;
 };

@@ -3,12 +3,9 @@
 // must produce IDENTICAL final state — full-state digest, every
 // per-shard digest, commit/deadlock counts, and the invariant
 // checker's verdict. The thread backend executes the same virtual
-// (time, seq) event order — serially under turn-based dispatch,
-// wave-at-a-time under epoch dispatch — so equivalence is by
+// (time, seq) event order, wave at a time, so equivalence is by
 // construction; this suite is what keeps that construction honest for
-// all six scheme configurations across a spread of seeds and every
-// dispatch cell: {turn, epoch} x {stealing on/off} x {backpressure
-// block/shed}.
+// all six scheme configurations across a spread of seeds.
 //
 // tools/diff_digests.py applies the same check to bench_runtime's
 // BENCH_runtime.json rows, so CI cross-checks the property twice.
@@ -61,39 +58,6 @@ SimConfig SmallConfig(SchemeKind kind, std::uint64_t seed,
   return c;
 }
 
-// One point of the dispatch-cell sweep: how the thread backend
-// schedules the identical event order. `capacity` != 0 arms mailbox
-// backpressure (block by default, shed with `shed`).
-struct DispatchCell {
-  const char* name;
-  runtime::ThreadRuntime::DispatchMode mode;
-  bool steal;
-  std::uint64_t capacity;
-  bool shed;
-};
-
-constexpr DispatchCell kDispatchCells[] = {
-    {"turn", runtime::ThreadRuntime::DispatchMode::kTurnBased, false, 0,
-     false},
-    {"epoch", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 0, false},
-    {"epoch+steal", runtime::ThreadRuntime::DispatchMode::kEpoch, true, 0,
-     false},
-    {"epoch+block", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 4,
-     false},
-    {"epoch+steal+shed", runtime::ThreadRuntime::DispatchMode::kEpoch, true,
-     4, true},
-};
-
-SimConfig CellConfig(SchemeKind kind, std::uint64_t seed,
-                     const DispatchCell& cell) {
-  SimConfig c = SmallConfig(kind, seed, RuntimeBackend::kThreads);
-  c.dispatch = cell.mode;
-  c.steal_untagged = cell.steal;
-  c.mailbox_capacity = cell.capacity;
-  c.overflow_shed = cell.shed;
-  return c;
-}
-
 class DifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
@@ -102,35 +66,37 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     SimOutcome sim_out =
         RunScheme(SmallConfig(kind, seed, RuntimeBackend::kSim));
-    for (const DispatchCell& cell : kDispatchCells) {
-      SimOutcome thr_out = RunScheme(CellConfig(kind, seed, cell));
-      SCOPED_TRACE(std::string(SchemeKindName(kind)) +
-                   " seed=" + std::to_string(seed) + " cell=" + cell.name);
-      // The headline: bit-identical full-state digest (values AND
-      // virtual-clock timestamps on every replica)...
-      EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
-      // ...and every per-shard, per-node digest.
-      EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
-      // Identical execution histories, not just identical end states.
-      EXPECT_EQ(sim_out.submitted, thr_out.submitted);
-      EXPECT_EQ(sim_out.committed, thr_out.committed);
-      EXPECT_EQ(sim_out.deadlocks, thr_out.deadlocks);
-      EXPECT_EQ(sim_out.waits, thr_out.waits);
-      EXPECT_EQ(sim_out.reconciliations, thr_out.reconciliations);
-      EXPECT_EQ(sim_out.replica_applied, thr_out.replica_applied);
-      EXPECT_EQ(sim_out.batches_shipped, thr_out.batches_shipped);
-      EXPECT_EQ(sim_out.divergent_slots, thr_out.divergent_slots);
-      // Invariant-checker verdicts agree (and pass) on both backends.
-      EXPECT_EQ(sim_out.invariant_violations, 0u);
-      EXPECT_EQ(thr_out.invariant_violations, 0u);
-      EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
-      // The run did real cross-thread work: every thread-backend run
-      // dispatched events to workers.
-      EXPECT_GT(thr_out.runtime_dispatched, 0u);
-      if (cell.mode == runtime::ThreadRuntime::DispatchMode::kEpoch) {
-        EXPECT_GT(thr_out.runtime_epochs, 0u);
-      }
-    }
+    SimOutcome thr_out =
+        RunScheme(SmallConfig(kind, seed, RuntimeBackend::kThreads));
+    SCOPED_TRACE(std::string(SchemeKindName(kind)) +
+                 " seed=" + std::to_string(seed));
+    // The headline: bit-identical full-state digest (values AND
+    // virtual-clock timestamps on every replica)...
+    EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
+    // ...and every per-shard, per-node digest.
+    EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
+    // Identical execution histories, not just identical end states.
+    EXPECT_EQ(sim_out.submitted, thr_out.submitted);
+    EXPECT_EQ(sim_out.committed, thr_out.committed);
+    EXPECT_EQ(sim_out.deadlocks, thr_out.deadlocks);
+    EXPECT_EQ(sim_out.waits, thr_out.waits);
+    EXPECT_EQ(sim_out.reconciliations, thr_out.reconciliations);
+    EXPECT_EQ(sim_out.replica_applied, thr_out.replica_applied);
+    EXPECT_EQ(sim_out.batches_shipped, thr_out.batches_shipped);
+    EXPECT_EQ(sim_out.divergent_slots, thr_out.divergent_slots);
+    // Invariant-checker verdicts agree (and pass) on both backends.
+    EXPECT_EQ(sim_out.invariant_violations, 0u);
+    EXPECT_EQ(thr_out.invariant_violations, 0u);
+    EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
+    // The run did real cross-thread work: every thread-backend run
+    // dispatched events to workers.
+    EXPECT_GT(thr_out.runtime_dispatched, 0u);
+    EXPECT_GT(thr_out.runtime_epochs, 0u);
+    // The bound that makes mailbox backpressure unnecessary: segments
+    // retire behind a barrier, so no worker's mailbox ever queues
+    // more than one wave's worth of tasks.
+    EXPECT_LE(thr_out.runtime_mailbox_max_depth,
+              thr_out.runtime_epoch_width_max);
   }
 }
 

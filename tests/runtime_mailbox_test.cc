@@ -1,6 +1,6 @@
-// Units for the thread backend's concurrency primitives: Gate
-// signal/wait, Mailbox FIFO order + counters + close/drain semantics,
-// the multi-producer path under a producer hammer, and StopBarrier
+// Units for the thread backend's concurrency primitives: Mailbox FIFO
+// order + counters + close/drain semantics, the multi-producer path
+// under a producer hammer, EpochGate counting, and StopBarrier
 // rendezvous/reuse. The whole binary also runs under TSan (`ctest -L
 // tsan` in a -DTDR_SANITIZE=thread build) — the hammer tests exist to
 // give the race detector real interleavings to chew on.
@@ -19,36 +19,6 @@
 namespace tdr::runtime {
 namespace {
 
-TEST(GateTest, SignalReleasesWaiter) {
-  Gate gate;
-  gate.Reset();
-  int ran = 0;
-  std::thread waiter([&] {
-    gate.Wait();
-    ran = 1;
-  });
-  gate.Signal();
-  waiter.join();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(GateTest, ReusableAcrossResets) {
-  Gate gate;
-  for (int round = 0; round < 100; ++round) {
-    gate.Reset();
-    std::thread signaler([&] { gate.Signal(); });
-    gate.Wait();
-    signaler.join();
-  }
-}
-
-TEST(GateTest, SignalBeforeWaitDoesNotBlock) {
-  Gate gate;
-  gate.Reset();
-  gate.Signal();
-  gate.Wait();  // must return immediately
-}
-
 TEST(MailboxTest, FifoOrderSingleThread) {
   Mailbox box;
   std::vector<int> order;
@@ -63,11 +33,10 @@ TEST(MailboxTest, FifoOrderSingleThread) {
   EXPECT_EQ(box.max_depth(), 3u);
   EXPECT_EQ(box.pushed(), 3u);
   for (int i = 0; i < 3; ++i) {
-    Task* t = box.TryPop();
+    Task* t = box.Pop();
     ASSERT_NE(t, nullptr);
     (*t->fn)();
   }
-  EXPECT_EQ(box.TryPop(), nullptr);
   EXPECT_EQ(box.depth(), 0u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -91,6 +60,27 @@ TEST(MailboxTest, CloseRejectsPushAndDrainsQueued) {
   EXPECT_EQ(box.Pop(), nullptr);
 }
 
+// A chain head queues as one node carrying the chain's length, so
+// depth counts tasks, not queue nodes. The suite name predates the
+// removal of the capacity bound; the chain-weight accounting it checks
+// now feeds max_depth.
+TEST(MailboxBackpressureTest, PopDecrementsByChainWeight) {
+  Mailbox box;
+  sim::Callback cb = [] {};
+  Task chain{&cb};
+  chain.weight = 3;
+  Task single{&cb};
+  EXPECT_TRUE(box.Push(&chain));
+  EXPECT_TRUE(box.Push(&single));
+  EXPECT_EQ(box.depth(), 4u);
+  EXPECT_EQ(box.max_depth(), 4u);
+  EXPECT_EQ(box.Pop(), &chain);
+  EXPECT_EQ(box.depth(), 1u);
+  EXPECT_EQ(box.Pop(), &single);
+  EXPECT_EQ(box.depth(), 0u);
+  EXPECT_EQ(box.max_depth(), 4u);
+}
+
 TEST(MailboxTest, PopBlocksUntilPush) {
   Mailbox box;
   std::atomic<int> ran{0};
@@ -111,7 +101,7 @@ TEST(MailboxTest, PopBlocksUntilPush) {
 // Multi-producer hammer: 8 producers blast 5000 tasks each at one
 // consumer. Every task must execute exactly once and nothing may be
 // lost at close — this is the TSan workout for the Push/Pop/Close
-// paths the turn-based dispatch protocol doesn't reach on its own.
+// paths, which dispatch alone never drives this hard.
 TEST(MailboxStressTest, MultiProducerHammerExecutesEveryTaskOnce) {
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 5000;
@@ -221,94 +211,6 @@ TEST(EpochGateTest, ReusableAcrossWaves) {
     gate.Wait();
     arrivals.join();
   }
-}
-
-TEST(MailboxBackpressureTest, ShedWhenFullWithoutBlocking) {
-  Mailbox box;
-  box.set_capacity(2);
-  sim::Callback cb = [] {};
-  Task t1{&cb}, t2{&cb}, t3{&cb};
-  EXPECT_EQ(box.PushChain(&t1, /*block_when_full=*/false),
-            Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.PushChain(&t2, false), Mailbox::PushResult::kOk);
-  // Full: a non-blocking push sheds back to the caller.
-  EXPECT_EQ(box.PushChain(&t3, false), Mailbox::PushResult::kFull);
-  EXPECT_EQ(box.depth(), 2u);
-  // Popping makes room again.
-  EXPECT_EQ(box.TryPop(), &t1);
-  EXPECT_EQ(box.PushChain(&t3, false), Mailbox::PushResult::kOk);
-}
-
-TEST(MailboxBackpressureTest, EmptyBoxAlwaysAdmitsOversizedChain) {
-  Mailbox box;
-  box.set_capacity(2);
-  sim::Callback cb = [] {};
-  // A 5-task chain exceeds the bound, but rejecting it from an EMPTY
-  // box would deadlock the producer: empty always admits.
-  Task head{&cb};
-  head.weight = 5;
-  EXPECT_EQ(box.PushChain(&head, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.depth(), 5u);
-  // The oversized chain now blocks further pushes until drained.
-  Task next{&cb};
-  EXPECT_EQ(box.PushChain(&next, false), Mailbox::PushResult::kFull);
-  EXPECT_EQ(box.TryPop(), &head);
-  EXPECT_EQ(box.depth(), 0u);
-  EXPECT_EQ(box.PushChain(&next, false), Mailbox::PushResult::kOk);
-}
-
-TEST(MailboxBackpressureTest, BlockingPushWaitsForRoomAndCountsStall) {
-  Mailbox box;
-  box.set_capacity(1);
-  sim::Callback cb = [] {};
-  Task queued{&cb};
-  ASSERT_EQ(box.PushChain(&queued, true), Mailbox::PushResult::kOk);
-  Task waiting{&cb};
-  std::thread producer([&] {
-    // Full mailbox: this blocks until the consumer pops.
-    EXPECT_EQ(box.PushChain(&waiting, true), Mailbox::PushResult::kOk);
-  });
-  // Give the producer a chance to park, then drain one.
-  while (box.stalls() == 0) std::this_thread::yield();
-  EXPECT_EQ(box.Pop(), &queued);
-  producer.join();
-  EXPECT_EQ(box.depth(), 1u);
-  EXPECT_EQ(box.stalls(), 1u);
-  EXPECT_EQ(box.Pop(), &waiting);
-}
-
-TEST(MailboxBackpressureTest, CloseReleasesBlockedProducer) {
-  Mailbox box;
-  box.set_capacity(1);
-  sim::Callback cb = [] {};
-  Task queued{&cb};
-  ASSERT_EQ(box.PushChain(&queued, true), Mailbox::PushResult::kOk);
-  Task waiting{&cb};
-  std::thread producer([&] {
-    EXPECT_EQ(box.PushChain(&waiting, true), Mailbox::PushResult::kClosed);
-  });
-  while (box.stalls() == 0) std::this_thread::yield();
-  box.Close();
-  producer.join();
-  // Only the accepted task drains.
-  EXPECT_EQ(box.Pop(), &queued);
-  EXPECT_EQ(box.Pop(), nullptr);
-}
-
-TEST(MailboxBackpressureTest, PopDecrementsByChainWeight) {
-  Mailbox box;
-  box.set_capacity(8);
-  sim::Callback cb = [] {};
-  Task chain{&cb};
-  chain.weight = 3;
-  Task single{&cb};
-  EXPECT_EQ(box.PushChain(&chain, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.PushChain(&single, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.depth(), 4u);
-  EXPECT_EQ(box.TryPop(), &chain);
-  EXPECT_EQ(box.depth(), 1u);
-  EXPECT_EQ(box.TryPop(), &single);
-  EXPECT_EQ(box.depth(), 0u);
 }
 
 TEST(StopBarrierTest, AllPartiesRendezvous) {

@@ -1,10 +1,9 @@
 // Property test for the thread backend: N randomized (seed, scheme,
-// fault-plan, dispatch-mode) triples must converge to the sim oracle's
-// digest after drain. On a mismatch the failing triple is SHRUNK —
-// shorter window, turn-based dispatch, no partition, no drops, fewer
-// nodes — and the minimal still-failing configuration is reported, so
-// a regression arrives as a small reproducer rather than a
-// 6-dimensional haystack.
+// fault-plan) triples must converge to the sim oracle's digest after
+// drain. On a mismatch the failing triple is SHRUNK — shorter window,
+// no partition, no drops, fewer nodes, one shard — and the minimal
+// still-failing configuration is reported, so a regression arrives as
+// a small reproducer rather than a multi-dimensional haystack.
 
 #include <gtest/gtest.h>
 
@@ -20,27 +19,6 @@ namespace {
 
 constexpr std::uint64_t kTriples = 12;
 
-// Thread-backend dispatch cells the triples draw from: index 0 is the
-// turn-based baseline (also the shrink target), the rest exercise
-// epoch dispatch with stealing and bounded mailboxes.
-struct DispatchCell {
-  const char* name;
-  runtime::ThreadRuntime::DispatchMode mode;
-  bool steal;
-  std::uint64_t capacity;
-  bool shed;
-};
-
-constexpr DispatchCell kDispatchCells[] = {
-    {"turn", runtime::ThreadRuntime::DispatchMode::kTurnBased, false, 0,
-     false},
-    {"epoch", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 0, false},
-    {"epoch+steal", runtime::ThreadRuntime::DispatchMode::kEpoch, true, 0,
-     false},
-    {"epoch+steal+shed", runtime::ThreadRuntime::DispatchMode::kEpoch, true,
-     4, true},
-};
-
 struct Triple {
   SchemeKind kind = SchemeKind::kEagerGroup;
   std::uint64_t seed = 1;
@@ -49,7 +27,6 @@ struct Triple {
   double sim_seconds = 2;
   double drop_probability = 0;
   bool partition_cycle = false;
-  std::uint32_t dispatch_cell = 0;
 
   std::string Describe() const {
     std::string s{SchemeKindName(kind)};
@@ -59,7 +36,6 @@ struct Triple {
     s += " sim_seconds=" + std::to_string(sim_seconds);
     s += " drop=" + std::to_string(drop_probability);
     s += partition_cycle ? " partition" : "";
-    s += std::string(" dispatch=") + kDispatchCells[dispatch_cell].name;
     return s;
   }
 };
@@ -78,13 +54,6 @@ SimConfig ToConfig(const Triple& t, RuntimeBackend backend) {
   c.fault_drop_probability = t.drop_probability;
   c.fault_partition_cycle = t.partition_cycle;
   c.backend = backend;
-  if (backend == RuntimeBackend::kThreads) {
-    const DispatchCell& cell = kDispatchCells[t.dispatch_cell];
-    c.dispatch = cell.mode;
-    c.steal_untagged = cell.steal;
-    c.mailbox_capacity = cell.capacity;
-    c.overflow_shed = cell.shed;
-  }
   c.drain = true;  // faulted runs drain anyway; make fault-free match
   if (t.kind == SchemeKind::kLazyGroup || t.kind == SchemeKind::kLazyMaster) {
     c.batch_flush_window = 0.04;
@@ -111,13 +80,6 @@ Triple Shrink(Triple failing) {
   Triple half = failing;
   half.sim_seconds = failing.sim_seconds / 2;
   try_step(half);
-  if (failing.dispatch_cell != 0) {
-    // Does the plain turn-based backend also fail, or is the bug in
-    // epoch dispatch itself?
-    Triple turn = failing;
-    turn.dispatch_cell = 0;
-    try_step(turn);
-  }
   if (failing.partition_cycle) {
     Triple no_partition = failing;
     no_partition.partition_cycle = false;
@@ -158,8 +120,6 @@ TEST(RuntimePropertyTest, RandomizedTriplesConvergeToSimOracleDigest) {
     t.sim_seconds = 2;
     t.drop_probability = kDropLevels[rng.UniformInt(3)];
     t.partition_cycle = rng.Bernoulli(0.5);
-    t.dispatch_cell = static_cast<std::uint32_t>(
-        rng.UniformInt(sizeof(kDispatchCells) / sizeof(kDispatchCells[0])));
     SCOPED_TRACE("triple " + std::to_string(i) + ": " + t.Describe());
     if (!BackendsAgree(t)) {
       Triple minimal = Shrink(t);

@@ -1,8 +1,8 @@
 // The pooled-task layer under the thread runtime's dispatch: birth
 // capacity, exhaustion growth, recycle-on-release, lease release
-// without firing (cancel), and — the contract the epoch refactor was
+// without firing (cancel), and — the contract the epoch engine was
 // built for — a steady-state alloc-audit window proving that dispatch
-// in both modes performs ZERO heap allocations once warm. This binary
+// performs ZERO heap allocations once warm. This binary
 // links tdr_alloc_audit (counting operator new/delete); the audit
 // assertions skip when the hooks are absent.
 
@@ -93,9 +93,7 @@ TEST(TaskPoolTest, AddressesStayStableAcrossGrowth) {
 // must still return the wrapper to the pool (not leak it).
 TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.task_pool_capacity = 8;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   int ran = 0;
   sim::EventId id =
       rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
@@ -111,9 +109,7 @@ TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
 // the series is cancelled.
 TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   int ticks = 0;
   sim::EventId series = rt.RepeatEvery(SimTime::Millis(1), [&] { ++ticks; });
   rt.RunUntil(SimTime::Millis(10));
@@ -124,18 +120,18 @@ TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 }
 
-// Scheduling a wave wider than the pool grows it once (counted) and
-// the next identical wave reuses the grown pool — no further growth.
+// Scheduling a wave wider than the pool's birth capacity (256 tasks)
+// grows it once (counted) and the next identical wave reuses the grown
+// pool — no further growth.
 TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
+  constexpr int kPerNode = 80;  // 4 nodes x 80 = 320 live tasks
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  opts.task_pool_capacity = 4;
-  ThreadRuntime rt(&clock, /*num_nodes=*/4, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/4, {}, nullptr);
+  EXPECT_EQ(rt.task_pool().capacity(), 256u);
   int ran = 0;
   auto wave = [&](SimTime when) {
     for (std::uint32_t node = 0; node < 4; ++node) {
-      for (int k = 0; k < 4; ++k) {
+      for (int k = 0; k < kPerNode; ++k) {
         rt.ScheduleAtNode(node, when, [&] { ++ran; });
       }
     }
@@ -144,23 +140,16 @@ TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   EXPECT_GT(rt.task_pool().grow_events(), 0u);
   const std::uint64_t grown = rt.task_pool().grow_events();
   rt.Run();
-  EXPECT_EQ(ran, 16);
+  EXPECT_EQ(ran, 4 * kPerNode);
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 
   wave(SimTime::Millis(2));
   rt.Run();
-  EXPECT_EQ(ran, 32);
+  EXPECT_EQ(ran, 8 * kPerNode);
   EXPECT_EQ(rt.task_pool().grow_events(), grown);  // pool was reused
   EXPECT_EQ(rt.epochs(), 2u);
-  EXPECT_EQ(rt.epoch_width_max(), 16u);
+  EXPECT_EQ(rt.epoch_width_max(), 4u * kPerNode);
 }
-
-// The alloc-audit gate: one warm cluster per dispatch mode, identical
-// traffic windows, and the measured window must be allocation-free (up
-// to the pool-ratchet budget alloc_audit_test uses). This is the
-// "allocation-free dispatch" acceptance bar for the epoch refactor.
-class DispatchAllocTest
-    : public ::testing::TestWithParam<ThreadRuntime::DispatchMode> {};
 
 // Sanitizer builds interpose the allocator themselves; the counting
 // operator-new replacement measures the sanitizer runtime, not the
@@ -178,7 +167,11 @@ constexpr bool kSanitized =
     false;
 #endif
 
-TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
+// The alloc-audit gate: one warm thread-backend cluster, and the
+// measured traffic window must be allocation-free (up to the
+// pool-ratchet budget alloc_audit_test uses). This is the
+// "allocation-free dispatch" acceptance bar for the epoch engine.
+TEST(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   if (!AllocAuditLinked() || kSanitized) {
     GTEST_SKIP() << "alloc-audit hooks absent or sanitizer build";
   }
@@ -191,9 +184,6 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   copts.seed = 42;
   copts.enable_metrics = false;
   copts.backend = RuntimeBackend::kThreads;
-  copts.runtime.dispatch = GetParam();
-  copts.runtime.steal_untagged =
-      GetParam() == ThreadRuntime::DispatchMode::kEpoch;
   Cluster cluster(copts);
   EagerGroupScheme scheme(&cluster);
 
@@ -232,15 +222,6 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   EXPECT_EQ(cluster.thread_runtime()->task_pool().grow_events(), grown_before)
       << "task pool grew during the measured window";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, DispatchAllocTest,
-    ::testing::Values(ThreadRuntime::DispatchMode::kTurnBased,
-                      ThreadRuntime::DispatchMode::kEpoch),
-    [](const ::testing::TestParamInfo<ThreadRuntime::DispatchMode>& info) {
-      return info.param == ThreadRuntime::DispatchMode::kEpoch ? "epoch"
-                                                               : "turn";
-    });
 
 }  // namespace
 }  // namespace tdr

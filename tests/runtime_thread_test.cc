@@ -1,12 +1,14 @@
 // ThreadRuntime semantics: parity with the sim backend it wraps,
-// per-node thread placement, shutdown idempotence, wall-clock pacing,
-// and the SharedPool teardown-order contract on a thread-backend
-// cluster. Runs under TSan via the `tsan`/`runtime` ctest labels.
+// per-node thread placement, shutdown idempotence, epoch waves, the
+// schedule-through-the-runtime precondition, and the SharedPool
+// teardown-order contract on a thread-backend cluster. Runs under TSan
+// via the `tsan`/`runtime` ctest labels.
 
 #include "runtime/thread_runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -22,8 +24,6 @@ namespace tdr {
 namespace {
 
 using runtime::ThreadRuntime;
-
-ThreadRuntime::Options FreeRun() { return ThreadRuntime::Options{}; }
 
 // The same schedule/cancel/repeat scenario produces the same fire log
 // (ids, order, virtual times) through a ThreadRuntime as through the
@@ -50,7 +50,7 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
   auto expected = scenario(plain);
 
   sim::Simulator clock;
-  ThreadRuntime threads(&clock, /*num_nodes=*/3, FreeRun(), nullptr);
+  ThreadRuntime threads(&clock, /*num_nodes=*/3, {}, nullptr);
   auto actual = scenario(threads);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(threads.dispatched() + threads.inline_events(),
@@ -59,7 +59,7 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
 
 TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/3, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/3, {}, nullptr);
   std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(3);
   for (std::uint32_t node = 0; node < 3; ++node) {
@@ -86,7 +86,7 @@ TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
 
 TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::vector<std::thread::id> runs;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAfterNode(1, SimTime::Millis(i + 1),
@@ -101,7 +101,7 @@ TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
 
 TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   int ran = 0;
   rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
   rt.Run();
@@ -122,7 +122,7 @@ TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
 
 TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::thread::id where;
   rt.ScheduleAfterNode(7, SimTime::Millis(1),
                        [&] { where = std::this_thread::get_id(); });
@@ -131,68 +131,55 @@ TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   EXPECT_EQ(rt.inline_events(), 1u);
 }
 
-// Pacing smoke: at time_scale = 0.05 wall-sec per sim-sec, one sim
-// second must take at least ~50ms of wall clock (generous lower bound
-// only — CI machines stall arbitrarily, so no upper bound).
-TEST(ThreadRuntimeTest, PacingStretchesWallClock) {
-  sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.time_scale = 0.05;
-  ThreadRuntime rt(&clock, /*num_nodes=*/1, opts, nullptr);
-  int fired = 0;
-  for (int i = 1; i <= 4; ++i) {
-    rt.ScheduleAtNode(0, SimTime::Millis(250 * i), [&] { ++fired; });
-  }
-  auto start = std::chrono::steady_clock::now();
-  rt.RunUntil(SimTime::Seconds(1));
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(fired, 4);
-  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.045);
-  EXPECT_GT(rt.wall_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(rt.sim_seconds(), 1.0);
-}
-
-ThreadRuntime::Options EpochRun(bool steal = false) {
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  opts.steal_untagged = steal;
-  return opts;
-}
-
-// The first test's scenario — schedule/cancel/repeat/run-until — must
-// produce the identical fire log under epoch dispatch too: same ids,
-// same order, same virtual times as the bare simulator.
+// Same-timestamp semantics: events on every node at one instant, an
+// untagged event and a cancel of a collected same-time event inside
+// that wave, and zero-delay follow-ups that form the next wave at the
+// same instant. The fire log (order and virtual times) must match the
+// bare simulator's.
 TEST(EpochDispatchTest, SemanticsMatchBareSimulator) {
   auto scenario = [](runtime::Runtime& rt) {
     std::vector<std::pair<int, double>> log;
-    rt.ScheduleAt(SimTime::Millis(10), [&] { log.emplace_back(1, 0.0); });
-    rt.ScheduleAfter(SimTime::Millis(5),
-                     [&] { log.emplace_back(2, rt.Now().seconds()); });
-    sim::EventId dead =
-        rt.ScheduleAt(SimTime::Millis(7), [&] { log.emplace_back(3, 0.0); });
-    EXPECT_TRUE(rt.Cancel(dead));
-    sim::EventId tick = rt.RepeatEvery(
-        SimTime::Millis(4), [&] { log.emplace_back(4, rt.Now().seconds()); });
-    rt.RunUntil(SimTime::Millis(12));
-    rt.Cancel(tick);
-    rt.Run();
-    EXPECT_EQ(rt.Now(), SimTime::Millis(12));
+    sim::EventId victim = sim::kInvalidEventId;
+    for (std::uint32_t node = 0; node < 4; ++node) {
+      rt.ScheduleAtNode(node, SimTime::Millis(5), [&rt, &log, node] {
+        log.emplace_back(static_cast<int>(node), rt.Now().seconds());
+        rt.ScheduleAfterNode((node + 1) % 4, SimTime::Zero(),
+                             [&rt, &log, node] {
+                               log.emplace_back(10 + static_cast<int>(node),
+                                                rt.Now().seconds());
+                             });
+      });
+    }
+    rt.ScheduleAt(SimTime::Millis(5),
+                  [&] { log.emplace_back(20, rt.Now().seconds()); });
+    rt.ScheduleAtNode(2, SimTime::Millis(5), [&] {
+      log.emplace_back(21, rt.Now().seconds());
+      EXPECT_TRUE(rt.Cancel(victim));
+    });
+    victim = rt.ScheduleAtNode(3, SimTime::Millis(5),
+                               [&] { log.emplace_back(22, 0.0); });
+    rt.RunUntil(SimTime::Millis(8));
+    EXPECT_EQ(rt.Now(), SimTime::Millis(8));
     return log;
   };
   sim::Simulator plain;
   auto expected = scenario(plain);
 
   sim::Simulator clock;
-  ThreadRuntime threads(&clock, /*num_nodes=*/3, EpochRun(), nullptr);
+  ThreadRuntime threads(&clock, /*num_nodes=*/4, {}, nullptr);
   auto actual = scenario(threads);
   EXPECT_EQ(actual, expected);
+  // Wave 1: seven events at 5 ms (the cancelled one keeps its slot);
+  // wave 2: the four zero-delay follow-ups.
+  EXPECT_EQ(threads.epochs(), 2u);
+  EXPECT_EQ(threads.epoch_width_max(), 7u);
 }
 
 // Same-timestamp events tagged to distinct nodes form ONE wave and run
 // on the distinct node workers — the epoch-dispatch headline.
 TEST(EpochDispatchTest, WaveRunsDistinctNodesOnTheirWorkers) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/4, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/4, {}, nullptr);
   std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(4);
   for (std::uint32_t node = 0; node < 4; ++node) {
@@ -216,7 +203,7 @@ TEST(EpochDispatchTest, WaveRunsDistinctNodesOnTheirWorkers) {
 // even mid-wave — the per-node serial guarantee.
 TEST(EpochDispatchTest, SameNodeSameTimeKeepsFifoOrder) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAtNode(1, SimTime::Millis(1),
@@ -233,7 +220,7 @@ TEST(EpochDispatchTest, SameNodeSameTimeKeepsFifoOrder) {
 // serial execution this would time out and fail.
 TEST(EpochDispatchTest, ParallelClassTasksOverlapInWallTime) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::atomic<int> inside{0};
   std::atomic<int> overlapped{0};
   for (std::uint32_t node = 0; node < 2; ++node) {
@@ -256,7 +243,7 @@ TEST(EpochDispatchTest, ParallelClassTasksOverlapInWallTime) {
 // kInvalidEventId, fire-and-forget) and fire on the next wave.
 TEST(EpochDispatchTest, DeferredScheduleFromParallelTaskFires) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::atomic<bool> followed{false};
   std::atomic<std::uint64_t> deferred_id{1};
   rt.ScheduleParallelAtNode(0, SimTime::Millis(1), [&] {
@@ -273,7 +260,7 @@ TEST(EpochDispatchTest, DeferredScheduleFromParallelTaskFires) {
 // the GroupCommitter window-cancel pattern.
 TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   bool victim_ran = false;
   bool cancel_hit = false;
   sim::EventId victim = sim::kInvalidEventId;
@@ -286,20 +273,19 @@ TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
   EXPECT_FALSE(victim_ran);
 }
 
-// With stealing on, untagged exclusive events ride worker lanes
-// instead of running inline on the coordinator.
-TEST(EpochDispatchTest, StealingMovesUntaggedWorkOffCoordinator) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(/*steal=*/true),
-                   nullptr);
-  std::thread::id coordinator = std::this_thread::get_id();
-  std::thread::id where;
-  rt.ScheduleAfter(SimTime::Millis(1),
-                   [&] { where = std::this_thread::get_id(); });
-  rt.Run();
-  EXPECT_NE(where, coordinator);
-  EXPECT_EQ(rt.dispatched(), 1u);
-  EXPECT_EQ(rt.inline_events(), 0u);
+// An event scheduled directly on the wrapped simulator would run
+// during wave collection, ahead of lower-seq collected events. The
+// runtime must refuse loudly instead of silently reordering.
+TEST(ThreadRuntimeDeathTest, DirectSimulatorEventAbortsWaveCollection) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto run = [] {
+    sim::Simulator clock;
+    ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
+    rt.ScheduleAtNode(0, SimTime::Millis(1), [] {});
+    clock.ScheduleAt(SimTime::Millis(1), [] {});  // bypasses the runtime
+    rt.Run();
+  };
+  EXPECT_DEATH(run(), "scheduled directly on the underlying Simulator");
 }
 
 // Teardown-order contract on the REAL cluster with the thread backend:

@@ -45,7 +45,6 @@ IDENTITY_FIELDS = (
     "nodes",
     "num_shards",
     "clients_per_node",
-    "dispatch",
     "fsync",
 )
 
@@ -77,7 +76,6 @@ IGNORED_FIELDS = (
     "wall_sim_ratio",
     "runtime_dispatched",
     "runtime_wall_seconds",
-    "speedup_vs_turn",
     "seconds",
     "records_per_sec",
     "syncs_per_sec",

@@ -9,10 +9,9 @@ validates the whole pipeline (run -> report -> artifact), not just the
 in-process comparison. The fault_plan axis keeps faulted rows
 (crash/recovery, chaos drops) compared only against the same fault
 plan on the other backend; rows without the field compare as plan
-"none". The section axis keeps experiments apart (E18's epoch_speedup
+"none". The section axis keeps experiments apart (E18's epoch_batching
 rows reuse E15's schemes at different cluster sizes); within a group,
-thread rows for EVERY dispatch mode (turn, epoch, epoch+steal) must
-match the sim oracle bit for bit.
+every threads row must match the sim oracle bit for bit.
 
 Usage:
   diff_digests.py BENCH_runtime.json [more_reports.json ...]
@@ -54,18 +53,13 @@ def check_file(path):
             continue
         reference_backend, reference = members[0]
         for backend, row in members[1:]:
-            # Thread rows carry the dispatch mode; name it in mismatch
-            # output so a diverging epoch cell is identifiable.
-            label = backend
-            if "dispatch" in row:
-                label = f"{backend}/{row['dispatch']}"
             for field in ("state_digest", "shard_digests", "committed"):
                 if row.get(field) != reference.get(field):
                     errors.append(
                         f"{path}: {where} "
                         f"{field} differs: "
                         f"{reference_backend}={reference.get(field)!r} "
-                        f"{label}={row.get(field)!r}")
+                        f"{backend}={row.get(field)!r}")
     if not errors:
         n = len(groups)
         print(f"OK {path}: {n} (section, scheme, seed, fault_plan) groups "
