@@ -1,10 +1,15 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: event
-// scheduling, lock acquisition, deadlock search, RNG, and store digests.
+// scheduling, lock acquisition, deadlock search, RNG, store digests, and
+// the checksummed codecs (CRC32C, WAL record append, proc frame encode).
 // These bound how large a simulated cluster the experiment benches can
 // afford; they are not paper artifacts themselves.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "proc/frame.h"
 #include "replication/cluster.h"
 #include "replication/eager.h"
 #include "sim/simulator.h"
@@ -12,6 +17,8 @@
 #include "storage/object_store.h"
 #include "txn/lock_manager.h"
 #include "util/rng.h"
+#include "wal/crc32c.h"
+#include "wal/wal_format.h"
 
 namespace tdr {
 namespace {
@@ -113,6 +120,56 @@ void BM_RngSampleWithoutReplacement(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RngSampleWithoutReplacement)->Arg(4)->Arg(64);
+
+void BM_Crc32c(benchmark::State& state) {
+  const std::vector<unsigned char> bytes(
+      static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wal::Crc32c(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096);
+
+// One commit-path record append into a buffer whose capacity is kept,
+// as the WAL writer's pending buffer is. Arg 0: scalar value; n > 0: an
+// n-item list.
+void BM_WalAppendRecord(benchmark::State& state) {
+  const auto items = static_cast<std::int64_t>(state.range(0));
+  Value::List list;
+  for (std::int64_t i = 0; i < items; ++i) list.push_back(i * 7919);
+  const Value value = items == 0 ? Value(std::int64_t{42}) : Value(list);
+  std::vector<std::uint8_t> buf;
+  std::uint64_t lsn = 0;
+  for (auto _ : state) {
+    buf.clear();
+    ++lsn;
+    wal::AppendRecord(lsn, /*txn=*/lsn + 1000, /*oid=*/lsn % 2048,
+                      /*shard=*/3, Timestamp(lsn, 1), Timestamp(lsn + 1, 2),
+                      value, &buf);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalAppendRecord)->Arg(0)->Arg(8);
+
+void BM_EncodeFrame(benchmark::State& state) {
+  proc::Frame frame;
+  frame.origin = 1;
+  frame.dest = 2;
+  frame.time_us = 123456;
+  frame.schedule_fp = 0x9e3779b97f4a7c15ULL;
+  frame.payload.assign(16, 'p');
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    ++frame.pair_seq;
+    proc::EncodeFrame(frame, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeFrame);
 
 void BM_EndToEndEagerCluster(benchmark::State& state) {
   // One full simulated second of a loaded 3-node eager cluster — the

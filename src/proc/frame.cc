@@ -2,44 +2,11 @@
 
 #include <cstring>
 
+#include "util/little_endian.h"
 #include "util/logging.h"
 #include "wal/crc32c.h"
 
 namespace tdr::proc {
-
-namespace {
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 const char* FrameKindName(FrameKind kind) {
   switch (kind) {
@@ -69,20 +36,25 @@ std::string Frame::ToString() const {
 }
 
 void EncodeFrame(const Frame& frame, std::string* out) {
-  std::string body;
-  body.reserve(kFrameFixedBodyBytes + frame.payload.size());
-  body.push_back(static_cast<char>(frame.kind));
-  PutU32(&body, frame.origin);
-  PutU32(&body, frame.dest);
-  PutU64(&body, frame.pair_seq);
-  PutU64(&body, static_cast<std::uint64_t>(frame.time_us));
-  PutU32(&body, frame.copies);
-  PutU64(&body, frame.schedule_fp);
-  body.append(frame.payload);
-  PutU32(out, kFrameMagic);
-  PutU32(out, static_cast<std::uint32_t>(body.size()));
-  PutU32(out, wal::Crc32c(body.data(), body.size()));
-  out->append(body);
+  // Size the frame once, write the fixed fields at their offsets, then
+  // patch in the length and CRC over the finished body.
+  const std::size_t body_len = kFrameFixedBodyBytes + frame.payload.size();
+  const std::size_t at = out->size();
+  out->resize(at + kFrameHeaderBytes + body_len);
+  char* head = out->data() + at;
+  char* body = head + kFrameHeaderBytes;
+  body[0] = static_cast<char>(frame.kind);
+  StoreLE32(body + 1, frame.origin);
+  StoreLE32(body + 5, frame.dest);
+  StoreLE64(body + 9, frame.pair_seq);
+  StoreLE64(body + 17, static_cast<std::uint64_t>(frame.time_us));
+  StoreLE32(body + 25, frame.copies);
+  StoreLE64(body + 29, frame.schedule_fp);
+  std::memcpy(body + kFrameFixedBodyBytes, frame.payload.data(),
+              frame.payload.size());
+  StoreLE32(head, kFrameMagic);
+  StoreLE32(head + 4, static_cast<std::uint32_t>(body_len));
+  StoreLE32(head + 8, wal::Crc32c(body, body_len));
 }
 
 std::string EncodeFrameToString(const Frame& frame) {
@@ -117,11 +89,11 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
     return Status::kNeedMore;
   }
   const char* head = buf_.data() + pos_;
-  const std::uint32_t magic = GetU32(head);
+  const std::uint32_t magic = LoadLE32(head);
   if (magic != kFrameMagic) {
     return Fail(StrPrintf("bad frame magic 0x%08x", magic));
   }
-  const std::uint32_t len = GetU32(head + 4);
+  const std::uint32_t len = LoadLE32(head + 4);
   if (len > kMaxFrameBodyBytes) {
     return Fail(StrPrintf("frame body length %u exceeds cap %u", len,
                           kMaxFrameBodyBytes));
@@ -134,7 +106,7 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
     pending_partial_ = true;
     return Status::kNeedMore;
   }
-  const std::uint32_t want_crc = GetU32(head + 8);
+  const std::uint32_t want_crc = LoadLE32(head + 8);
   const char* body = head + kFrameHeaderBytes;
   const std::uint32_t got_crc = wal::Crc32c(body, len);
   if (want_crc != got_crc) {
@@ -142,12 +114,12 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
                           want_crc, got_crc));
   }
   out->kind = static_cast<FrameKind>(static_cast<unsigned char>(body[0]));
-  out->origin = GetU32(body + 1);
-  out->dest = GetU32(body + 5);
-  out->pair_seq = GetU64(body + 9);
-  out->time_us = static_cast<std::int64_t>(GetU64(body + 17));
-  out->copies = GetU32(body + 25);
-  out->schedule_fp = GetU64(body + 29);
+  out->origin = LoadLE32(body + 1);
+  out->dest = LoadLE32(body + 5);
+  out->pair_seq = LoadLE64(body + 9);
+  out->time_us = static_cast<std::int64_t>(LoadLE64(body + 17));
+  out->copies = LoadLE32(body + 25);
+  out->schedule_fp = LoadLE64(body + 29);
   out->payload.assign(body + kFrameFixedBodyBytes,
                       len - kFrameFixedBodyBytes);
   pos_ += kFrameHeaderBytes + len;

@@ -78,17 +78,20 @@ class Callback {
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
  private:
-  // A null `relocate` means "memcpy the whole inline buffer" — true for
-  // every trivially-copyable capture AND for the heap fallback (the
-  // buffer then holds just an owning pointer). A null `destroy` means
-  // trivially destructible. The nulls matter: moving and destroying
-  // callbacks happens several times per event, and a predictable
-  // load-test-skip beats an indirect call through a per-type thunk.
+  // A null `relocate` means "memcpy the first `size` bytes of the inline
+  // buffer" — true for every trivially-copyable capture AND for the heap
+  // fallback (the buffer then holds just an owning pointer). Copying
+  // only the stored bytes never reads the unused tail of the buffer. A
+  // null `destroy` means trivially destructible. The nulls matter:
+  // moving and destroying callbacks happens several times per event, and
+  // a predictable load-test-skip beats an indirect call through a
+  // per-type thunk.
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs *src into dst and destroys *src (null: memcpy).
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void* self) noexcept;  // null: trivial
+    std::size_t size;  // bytes of buf_ in use
   };
 
   template <typename D>
@@ -111,6 +114,7 @@ class Callback {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* self) noexcept { static_cast<D*>(self)->~D(); },
+      std::is_empty_v<D> ? 0 : sizeof(D),  // an empty lambda has no state
   };
 
   template <typename D>
@@ -118,13 +122,14 @@ class Callback {
       [](void* self) { (**static_cast<D**>(self))(); },
       nullptr,  // relocating an owning pointer is a copy of the buffer
       [](void* self) noexcept { delete *static_cast<D**>(self); },
+      sizeof(D*),
   };
 
   void Relocate(Callback& other) noexcept {
     if (ops_->relocate != nullptr) {
       ops_->relocate(other.buf_, buf_);
     } else {
-      std::memcpy(buf_, other.buf_, kInlineSize);
+      std::memcpy(buf_, other.buf_, ops_->size);
     }
   }
 

@@ -1,18 +1,20 @@
 // Socket-framing codec suite, in wal_test's every-truncation style:
 // every byte-boundary split of a frame stream must reassemble to the
 // identical frames, every truncation must park as kNeedMore (never a
-// bogus frame), and every single-bit corruption of an encoded frame
-// must yield kError or kNeedMore — never a decoded frame. The decoder
-// is the integrity floor under the whole multi-process backend: a
-// stream that loses framing must become a hard error, not garbage
-// deliveries.
+// bogus frame), and every single-bit corruption or seeded multi-byte
+// mutation of an encoded frame must yield kError or kNeedMore — never a
+// decoded frame. Golden bytes pin the wire format. The decoder is the
+// integrity floor under the whole multi-process backend: a stream that
+// loses framing must become a hard error, not garbage deliveries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "byte_mutator.h"
 #include "proc/frame.h"
 
 namespace tdr::proc {
@@ -216,6 +218,92 @@ TEST(FrameCodecTest, LengthBelowFixedFieldsIsAHardError) {
   EXPECT_EQ(dec.Next(&got), FrameDecoder::Status::kError);
   EXPECT_NE(dec.error().find("below fixed"), std::string::npos)
       << dec.error();
+}
+
+// The bytes the byte-at-a-time encoder wrote for MakeFrame(42, "hello
+// frame"). Every encoder must reproduce them and the decoder must read
+// them back: children and parents built apart still share one wire.
+constexpr char kGoldenDeliverHex[] =
+    "5444524630000000ac378bcc0102000000030000002a0000000000000017a400"
+    "00000000000100000087d782612872519368656c6c6f206672616d65";
+
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(FrameCodecTest, EncoderReproducesGoldenBytes) {
+  const Frame sent = MakeFrame(42, "hello frame");
+  EXPECT_EQ(EncodeFrameToString(sent), FromHex(kGoldenDeliverHex));
+  // Appending after existing bytes leaves them alone.
+  std::string out = "xy";
+  EncodeFrame(sent, &out);
+  EXPECT_EQ(out, "xy" + FromHex(kGoldenDeliverHex));
+}
+
+TEST(FrameCodecTest, DecoderReadsGoldenBytes) {
+  const std::string wire = FromHex(kGoldenDeliverHex);
+  FrameDecoder dec;
+  dec.Feed(wire.data(), wire.size());
+  Frame got;
+  ASSERT_EQ(dec.Next(&got), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(got, MakeFrame(42, "hello frame"));
+}
+
+// ~4,000 seeded multi-byte mutations of a three-frame stream, fed in
+// random windows. The decoder may stop with kNeedMore or kError, but a
+// frame it yields must re-encode to exactly the bytes it consumed and
+// must be one of the frames sent: no corruption passes magic, length
+// and CRC.
+TEST(FrameCodecTest, SeededMutationsYieldOnlyIntactFrames) {
+  std::vector<Frame> corpus = {MakeFrame(1), MakeFrame(2, "alpha"),
+                               MakeFrame(3, std::string(100, 'x'))};
+  corpus.push_back(MakeFrame(4, "report"));
+  corpus.back().kind = FrameKind::kReport;
+  std::vector<std::string> encoded;
+  std::string donor;
+  for (const Frame& f : corpus) {
+    encoded.push_back(EncodeFrameToString(f));
+    donor += encoded.back();
+  }
+  testutil::ByteMutator mutator(0xF4A3E);
+  int decoded = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string wire;
+    std::vector<std::size_t> length_fields;
+    for (int i = 0; i < 3; ++i) {
+      length_fields.push_back(wire.size() + 4);
+      wire += encoded[mutator.Below(encoded.size())];
+    }
+    mutator.Mutate(&wire, donor, length_fields);
+    FrameDecoder dec;
+    std::size_t fed = 0;
+    std::size_t consumed = 0;
+    Frame got;
+    while (fed < wire.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + mutator.Below(64), wire.size() - fed);
+      dec.Feed(wire.data() + fed, n);
+      fed += n;
+      FrameDecoder::Status st;
+      while ((st = dec.Next(&got)) == FrameDecoder::Status::kFrame) {
+        const std::string again = EncodeFrameToString(got);
+        ASSERT_LE(consumed + again.size(), fed) << "round " << round;
+        ASSERT_EQ(wire.compare(consumed, again.size(), again), 0)
+            << "round " << round << " offset " << consumed;
+        EXPECT_NE(std::find(encoded.begin(), encoded.end(), again),
+                  encoded.end())
+            << "round " << round << " " << got.ToString();
+        consumed += again.size();
+        ++decoded;
+      }
+      if (st == FrameDecoder::Status::kError) break;
+    }
+  }
+  EXPECT_GT(decoded, 1000);
 }
 
 TEST(FrameCodecTest, HashBytesIsOrderSensitive) {

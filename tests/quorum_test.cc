@@ -4,6 +4,8 @@
 
 #include <optional>
 
+#include "util/logging.h"
+
 namespace tdr {
 namespace {
 
@@ -196,9 +198,9 @@ INSTANTIATE_TEST_SUITE_P(
                       QuorumParam{5, 3, 3}, QuorumParam{5, 4, 4},
                       QuorumParam{7, 4, 5}, QuorumParam{7, 6, 6}),
     [](const ::testing::TestParamInfo<QuorumParam>& info) {
-      return "n" + std::to_string(info.param.nodes) + "w" +
-             std::to_string(info.param.write_quorum) + "s" +
-             std::to_string(info.param.seed);
+      return StrPrintf("n%uw%us%llu", info.param.nodes,
+                       info.param.write_quorum,
+                       static_cast<unsigned long long>(info.param.seed));
     });
 
 TEST(QuorumTest, ConcurrentWritersSerializeThroughOverlap) {

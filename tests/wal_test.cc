@@ -1,16 +1,23 @@
-// Unit suite for the WAL building blocks: the CRC, the record and
-// segment encodings, both segment backends, the per-node writer's
-// flush/roll machinery, and the GroupCommitter's three durability
-// modes driven directly by a simulator clock. Crash recovery has its
-// own suite (wal_recovery_test.cc); the cluster-level differential
-// checks live in wal_differential_test.cc.
+// Unit suite for the WAL building blocks: the CRC (both paths against
+// a bit-at-a-time reference), the record and segment encodings (golden
+// bytes, truncations, bit flips, seeded multi-byte mutations through
+// the decoder and through recovery), both segment backends, the
+// per-node writer's flush/roll machinery, and the GroupCommitter's
+// three durability modes driven directly by a simulator clock. Crash
+// recovery has its own suite (wal_recovery_test.cc); the cluster-level
+// differential checks live in wal_differential_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "byte_mutator.h"
 
 #include "sim/simulator.h"
 #include "storage/shard_map.h"
@@ -41,6 +48,63 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+// Bit-at-a-time CRC-32C: the definition both implementations must
+// reproduce.
+std::uint32_t ReferenceCrc32c(std::uint32_t crc, const std::uint8_t* p,
+                              std::size_t size) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32cTest, BothPathsMatchReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(256 + 8, 17);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::uint8_t* p = bytes.data() + align;
+      const std::uint32_t want = ReferenceCrc32c(0, p, len);
+      ASSERT_EQ(Crc32c(p, len), want) << "align " << align << " len " << len;
+      ASSERT_EQ(detail::Crc32cExtendPortable(0, p, len), want)
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, BothPathsMatchReferenceOver64KiBAndSplitChains) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(64 << 10, 29);
+  const std::uint32_t want = ReferenceCrc32c(0, bytes.data(), bytes.size());
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), want);
+  EXPECT_EQ(detail::Crc32cExtendPortable(0, bytes.data(), bytes.size()), want);
+  // Chains of random piece sizes, each piece extended by a randomly
+  // chosen path: the two paths must interoperate mid-stream.
+  std::mt19937_64 rng(31);
+  for (int chain = 0; chain < 64; ++chain) {
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      const std::size_t piece =
+          std::min<std::size_t>(rng() % 3000, bytes.size() - at);
+      crc = (rng() & 1)
+                ? Crc32cExtend(crc, bytes.data() + at, piece)
+                : detail::Crc32cExtendPortable(crc, bytes.data() + at, piece);
+      at += piece;
+    }
+    ASSERT_EQ(crc, want) << "chain " << chain;
+  }
+}
+
 WalRecord MakeScalarRecord() {
   WalRecord r;
   r.lsn = 7;
@@ -50,6 +114,12 @@ WalRecord MakeScalarRecord() {
   r.old_ts = Timestamp{41, 2};
   r.new_ts = Timestamp{42, 1};
   r.value = Value(-5);
+  return r;
+}
+
+WalRecord MakeListRecord() {
+  WalRecord r = MakeScalarRecord();
+  r.value = Value(Value::List{-3, 0, 8, 1LL << 40});
   return r;
 }
 
@@ -79,12 +149,49 @@ TEST(WalFormatTest, ScalarRoundtrip) {
 }
 
 TEST(WalFormatTest, ListRoundtrip) {
-  WalRecord in = MakeScalarRecord();
-  in.value = Value(Value::List{-3, 0, 8, 1LL << 40});
+  const WalRecord in = MakeListRecord();
   const std::vector<std::uint8_t> buf = Encode(in);
   WalRecord out;
   EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &out), buf.size());
   ExpectEqualRecords(in, out);
+}
+
+std::vector<std::uint8_t> FromHex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// The bytes the byte-at-a-time encoder wrote for MakeScalarRecord() and
+// for its list twin. Logs on disk hold exactly these layouts, so every
+// encoder must reproduce them and every decoder must read them back.
+constexpr char kGoldenScalarHex[] =
+    "3d000000a4b63e870700000000000000d2040000000000006300000000000000"
+    "030000002900000000000000020000002a000000000000000100000000fbffff"
+    "ffffffffff";
+constexpr char kGoldenListHex[] =
+    "5900000091d2ecd30700000000000000d2040000000000006300000000000000"
+    "030000002900000000000000020000002a000000000000000100000001040000"
+    "00fdffffffffffffff0000000000000000080000000000000000000000000100"
+    "00";
+
+TEST(WalFormatTest, EncoderReproducesGoldenBytes) {
+  EXPECT_EQ(Encode(MakeScalarRecord()), FromHex(kGoldenScalarHex));
+  EXPECT_EQ(Encode(MakeListRecord()), FromHex(kGoldenListHex));
+}
+
+TEST(WalFormatTest, DecoderReadsGoldenBytes) {
+  for (const auto& [hex, want] :
+       {std::pair{kGoldenScalarHex, MakeScalarRecord()},
+        std::pair{kGoldenListHex, MakeListRecord()}}) {
+    const std::vector<std::uint8_t> buf = FromHex(hex);
+    WalRecord out;
+    ASSERT_EQ(DecodeRecord(buf.data(), buf.size(), &out), buf.size());
+    ExpectEqualRecords(want, out);
+  }
 }
 
 TEST(WalFormatTest, BackToBackRecordsDecodeInOrder) {
@@ -123,6 +230,121 @@ TEST(WalFormatTest, EverySingleBitFlipIsRejected) {
     // "truncated" one; either way the decode must fail.
     EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &out), 0u)
         << "flipped byte " << i;
+  }
+}
+
+// Records of every value shape the log holds: scalars, an empty list,
+// short and long lists. Record k carries lsn k + 1.
+std::vector<WalRecord> MutationCorpus() {
+  std::vector<WalRecord> corpus;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    WalRecord r = MakeScalarRecord();
+    r.lsn = k + 1;
+    r.txn = 1000 + 7 * k;
+    r.oid = 3 * k;
+    if (k % 2 == 1) {
+      Value::List list;
+      for (std::uint64_t i = 0; i < 3 * (k - 1); ++i) {
+        list.push_back(static_cast<std::int64_t>(i * 1000003) - 5);
+      }
+      r.value = Value(std::move(list));
+    } else {
+      r.value = Value(static_cast<std::int64_t>(k) - 2);
+    }
+    corpus.push_back(r);
+  }
+  return corpus;
+}
+
+// ~4,000 seeded multi-byte mutations of a two-record stream. The
+// decoder may reject or accept, but an accepted record must re-encode
+// to exactly the bytes it consumed, and it must be an original record:
+// no corruption passes the length and CRC checks.
+TEST(WalFormatTest, SeededMutationsAcceptOnlyIntactRecords) {
+  const std::vector<WalRecord> corpus = MutationCorpus();
+  std::vector<std::vector<std::uint8_t>> encoded;
+  std::vector<std::uint8_t> donor;
+  for (const WalRecord& r : corpus) {
+    encoded.push_back(Encode(r));
+    donor.insert(donor.end(), encoded.back().begin(), encoded.back().end());
+  }
+  testutil::ByteMutator mutator(0xC0DEC);
+  int accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t a = mutator.Below(corpus.size());
+    const std::size_t b = mutator.Below(corpus.size());
+    std::vector<std::uint8_t> buf = encoded[a];
+    buf.insert(buf.end(), encoded[b].begin(), encoded[b].end());
+    mutator.Mutate(&buf, donor, {0, encoded[a].size()});
+    std::size_t offset = 0;
+    WalRecord out;
+    while (offset < buf.size()) {
+      const std::size_t consumed =
+          DecodeRecord(buf.data() + offset, buf.size() - offset, &out);
+      if (consumed == 0) break;
+      ASSERT_LE(consumed, buf.size() - offset) << "round " << round;
+      const std::vector<std::uint8_t> again = Encode(out);
+      ASSERT_EQ(again.size(), consumed) << "round " << round;
+      ASSERT_TRUE(std::equal(again.begin(), again.end(), buf.begin() + offset))
+          << "round " << round << " offset " << offset;
+      ASSERT_GE(out.lsn, 1u);
+      ASSERT_LE(out.lsn, corpus.size());
+      EXPECT_EQ(again, encoded[out.lsn - 1]) << "round " << round;
+      offset += consumed;
+      ++accepted;
+    }
+  }
+  // Untouched leading records still decode: the battery is not all
+  // rejections.
+  EXPECT_GT(accepted, 1000);
+}
+
+// ~2,000 seeded mutations of a whole segment, replayed by WalRecovery:
+// it must replay an intact prefix of the log, in LSN order, cut the
+// segment right after it, and find a clean log on a second pass.
+TEST(WalRecoveryMutationTest, SeededSegmentMutationsReplayAnIntactPrefix) {
+  const std::vector<WalRecord> corpus = MutationCorpus();
+  std::vector<std::uint8_t> segment;
+  EncodeSegmentHeader(/*node=*/0, /*segment=*/0, &segment);
+  std::vector<std::size_t> length_fields;
+  for (const WalRecord& r : corpus) {
+    length_fields.push_back(segment.size());
+    const std::vector<std::uint8_t> rec = Encode(r);
+    segment.insert(segment.end(), rec.begin(), rec.end());
+  }
+  testutil::ByteMutator mutator(0x5E6);
+  for (int round = 0; round < 2000; ++round) {
+    MemWalBackend backend(1);
+    backend.Create(0, 0);
+    std::vector<std::uint8_t>* bytes = backend.SegmentBytes(0, 0);
+    *bytes = segment;
+    mutator.Mutate(bytes, segment, length_fields);
+    const std::vector<std::uint8_t> mutated = *bytes;
+    std::size_t offset = kSegmentHeaderSize;
+    std::uint64_t replayed = 0;
+    WalRecovery recovery(&backend);
+    const RecoveryResult result =
+        recovery.Recover(0, [&](const WalRecord& rec) {
+          const std::vector<std::uint8_t> again = Encode(rec);
+          ASSERT_LE(offset + again.size(), mutated.size());
+          ASSERT_TRUE(std::equal(again.begin(), again.end(),
+                                 mutated.begin() + offset))
+              << "round " << round << " offset " << offset;
+          ASSERT_LT(replayed, corpus.size());
+          EXPECT_EQ(again, Encode(corpus[replayed])) << "round " << round;
+          offset += again.size();
+          ++replayed;
+        });
+    ASSERT_EQ(result.records_replayed, replayed) << "round " << round;
+    if (result.torn_tail) {
+      const std::size_t kept = backend.SegmentBytes(0, 0)->size();
+      ASSERT_TRUE(kept == 0 || kept == offset) << "round " << round;
+    } else if (!mutated.empty()) {  // an empty segment is a clean log
+      ASSERT_EQ(offset, mutated.size()) << "round " << round;
+    }
+    const RecoveryResult again = recovery.Recover(0, [](const WalRecord&) {});
+    EXPECT_FALSE(again.torn_tail) << "round " << round;
+    EXPECT_EQ(again.records_replayed, replayed) << "round " << round;
   }
 }
 
