@@ -16,39 +16,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "obs/run_report.h"
-#include "replication/driver.h"
-#include "replication/eager.h"
-#include "replication/lazy_group.h"
-#include "replication/lazy_master.h"
-#include "replication/ownership.h"
-#include "replication/quorum.h"
 #include "util/alloc_audit.h"
 
 namespace tdr::bench {
 namespace {
 
-constexpr std::uint32_t kNodes = 4;
-constexpr std::uint64_t kDbSize = 10000;
-constexpr double kTpsPerNode = 120;
-constexpr std::uint32_t kActions = 4;
-constexpr double kActionTime = 0.005;  // 5 ms
 constexpr double kWarmupSeconds = 5;
 constexpr double kMeasureSeconds = 20;
-
-enum class HotScheme {
-  kEagerGroup,
-  kLazyGroup,
-  kLazyGroupBatched,
-  kLazyMaster,
-  kLazyMasterBatched,
-  kQuorum,
-};
 
 struct HotConfig {
   const char* name;
@@ -61,6 +40,7 @@ struct HotConfig {
 struct HotResult {
   std::uint64_t committed = 0;
   std::uint64_t deadlocks = 0;
+  std::uint64_t state_digest = 0;  // every replica, end of the window
   double sim_rate = 0;             // committed / sim-second
   double wall_seconds = 0;         // wall time of the measured window
   double ns_per_committed = 0;
@@ -69,63 +49,12 @@ struct HotResult {
 };
 
 HotResult RunHot(const HotConfig& config) {
-  Cluster::Options copts;
-  copts.num_nodes = kNodes;
-  copts.db_size = kDbSize;
-  copts.action_time = SimTime::Seconds(kActionTime);
-  copts.seed = 42;
-  // No metrics registry: measure the bare hot path, as bench_headline's
-  // overhead baseline does.
-  copts.enable_metrics = false;
-  Cluster cluster(copts);
-
-  std::vector<NodeId> all_nodes(kNodes);
-  for (std::uint32_t i = 0; i < kNodes; ++i) all_nodes[i] = i;
-  Ownership ownership = Ownership::RoundRobin(kDbSize, all_nodes);
-
-  BatchShipper::Options batched;
-  batched.flush_window = SimTime::Millis(50);
-
-  std::unique_ptr<ReplicationScheme> scheme;
-  switch (config.scheme) {
-    case HotScheme::kEagerGroup:
-      scheme = std::make_unique<EagerGroupScheme>(&cluster);
-      break;
-    case HotScheme::kLazyGroup:
-      scheme = std::make_unique<LazyGroupScheme>(&cluster);
-      break;
-    case HotScheme::kLazyGroupBatched: {
-      LazyGroupScheme::Options o;
-      o.batch = batched;
-      scheme = std::make_unique<LazyGroupScheme>(&cluster, o);
-      break;
-    }
-    case HotScheme::kLazyMaster:
-      scheme = std::make_unique<LazyMasterScheme>(&cluster, &ownership);
-      break;
-    case HotScheme::kLazyMasterBatched: {
-      LazyMasterScheme::Options o;
-      o.batch = batched;
-      scheme =
-          std::make_unique<LazyMasterScheme>(&cluster, &ownership, o);
-      break;
-    }
-    case HotScheme::kQuorum:
-      scheme = std::make_unique<QuorumEagerScheme>(&cluster);
-      break;
-  }
-
-  WorkloadDriver::Options dopts;
-  dopts.tps_per_node = kTpsPerNode;
-  dopts.workload.db_size = kDbSize;
-  dopts.workload.actions = kActions;
-  dopts.seconds = kMeasureSeconds;
-  WorkloadDriver driver(&cluster, scheme.get(), dopts);
+  HotPathRig rig(config.scheme, kMeasureSeconds);
 
   // Warmup window: reaches open-loop steady state and fills every pool
   // (event slots, messages, lock waiters, inflight txns, batches).
   // Only the second window is measured.
-  (void)driver.Run();
+  (void)rig.Run();
 
   // TDR_TRACE_ALLOCS=N dumps backtraces for the first N measured-window
   // allocations of every config — how to localize a regression when the
@@ -137,12 +66,13 @@ HotResult RunHot(const HotConfig& config) {
 
   AllocScope scope;
   auto wall_start = std::chrono::steady_clock::now();
-  WorkloadDriver::Outcome out = driver.Run();
+  WorkloadDriver::Outcome out = rig.Run();
   auto wall_end = std::chrono::steady_clock::now();
 
   HotResult result;
   result.committed = out.committed;
   result.deadlocks = out.deadlocks;
+  result.state_digest = rig.StateDigest();
   result.sim_rate = out.committed_rate();
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -177,11 +107,11 @@ int Main() {
               "sim tps", "ns/txn", "allocs/txn", "bytes/txn");
 
   obs::RunReport report("hot_path");
-  report.SetConfig("nodes", obs::Json(std::uint64_t{kNodes}))
-      .SetConfig("db_size", obs::Json(std::uint64_t{kDbSize}))
-      .SetConfig("tps_per_node", obs::Json(kTpsPerNode))
-      .SetConfig("actions", obs::Json(std::uint64_t{kActions}))
-      .SetConfig("action_time", obs::Json(kActionTime))
+  report.SetConfig("nodes", obs::Json(std::uint64_t{HotPathRig::kNodes}))
+      .SetConfig("db_size", obs::Json(std::uint64_t{HotPathRig::kDbSize}))
+      .SetConfig("tps_per_node", obs::Json(HotPathRig::kTpsPerNode))
+      .SetConfig("actions", obs::Json(std::uint64_t{HotPathRig::kActions}))
+      .SetConfig("action_time", obs::Json(HotPathRig::kActionTime))
       .SetConfig("warmup_seconds", obs::Json(kWarmupSeconds))
       .SetConfig("measure_seconds", obs::Json(kMeasureSeconds))
       .SetConfig("alloc_audit_linked", obs::Json(AllocAuditLinked()));
@@ -198,6 +128,7 @@ int Main() {
     row.Set("headline", obs::Json(config.headline));
     row.Set("committed", obs::Json(r.committed));
     row.Set("deadlocks", obs::Json(r.deadlocks));
+    row.Set("state_digest", obs::Json(HexDigest(r.state_digest)));
     row.Set("sim_committed_rate", obs::Json(r.sim_rate));
     row.Set("wall_seconds", obs::Json(r.wall_seconds));
     row.Set("ns_per_committed", obs::Json(r.ns_per_committed));

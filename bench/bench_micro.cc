@@ -111,6 +111,60 @@ void BM_ObjectStoreDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectStoreDigest)->Arg(1024)->Arg(65536);
 
+// Lazy-group replica applies (ObjectStore::ApplyIfTimestampMatches)
+// over 4 stores of 10,000 rows, sim-lazy-open's footprint, in seeded
+// random order; every apply matches and installs. Arg 0 touches each row
+// cold; arg 1 prefetches it 30 applies ahead, as the touch-ahead hint
+// does when the apply is scheduled (DESIGN.md §12.5).
+void BM_ReplicaApplyRandomRow(benchmark::State& state) {
+  constexpr std::uint64_t kStores = 4;
+  constexpr std::uint64_t kRows = 10000;
+  constexpr std::size_t kOps = std::size_t{1} << 18;
+  constexpr std::size_t kAhead = 30;
+  struct Apply {
+    std::uint32_t store;
+    std::uint32_t oid;
+    std::uint64_t old_counter;  // the row's timestamp when this apply runs
+  };
+  std::vector<Apply> applies(kOps);
+  std::vector<std::uint64_t> last(kStores * kRows, 0);
+  Rng rng(2026);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    Apply& a = applies[i];
+    a.store = static_cast<std::uint32_t>(rng.UniformInt(kStores));
+    a.oid = static_cast<std::uint32_t>(rng.UniformInt(kRows));
+    std::uint64_t& row_last = last[a.store * kRows + a.oid];
+    a.old_counter = row_last;
+    row_last = i + 1;
+  }
+  std::vector<ObjectStore> stores(kStores, ObjectStore(kRows));
+  const bool prefetch = state.range(0) != 0;
+  std::size_t i = 0;
+  std::uint64_t conflicts = 0;
+  for (auto _ : state) {
+    if (i == kOps) {
+      state.PauseTiming();
+      for (ObjectStore& store : stores) store.ResetToZero();
+      i = 0;
+      state.ResumeTiming();
+    }
+    if (prefetch && i + kAhead < kOps) {
+      const Apply& ahead = applies[i + kAhead];
+      stores[ahead.store].Prefetch(ahead.oid);
+    }
+    const Apply& a = applies[i];
+    const Status s = stores[a.store].ApplyIfTimestampMatches(
+        a.oid, Value(static_cast<std::int64_t>(i)),
+        Timestamp(a.old_counter, 0), Timestamp(i + 1, 0));
+    conflicts += s.ok() ? 0 : 1;
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  if (conflicts != 0) state.SkipWithError("a replica apply conflicted");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReplicaApplyRandomRow)->Arg(0)->Arg(1);
+
 void BM_RngSampleWithoutReplacement(benchmark::State& state) {
   Rng rng(99);
   for (auto _ : state) {

@@ -26,12 +26,6 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-std::string Hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
-  return buf;
-}
-
 double WallSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -70,9 +64,9 @@ SimConfig FaultedConfig(SchemeKind kind, std::uint64_t seed) {
 obs::Json OracleRow(const SimConfig& config, const SimOutcome& out) {
   obs::Json row = ReportRow(config, out);
   row.Set("backend", "sim");
-  row.Set("state_digest", Hex(out.state_digest));
+  row.Set("state_digest", HexDigest(out.state_digest));
   obs::Json shards = obs::Json::Array();
-  for (std::uint64_t d : out.shard_digests) shards.Push(Hex(d));
+  for (std::uint64_t d : out.shard_digests) shards.Push(HexDigest(d));
   row.Set("shard_digests", std::move(shards));
   return row;
 }
@@ -86,9 +80,9 @@ obs::Json ProcRow(const SimConfig& config, const ProcOutcome& out,
   row.Set("fault_plan", FaultPlanName(config));
   row.Set("backend", "proc");
   row.Set("committed", out.committed);
-  row.Set("state_digest", Hex(out.state_digest));
+  row.Set("state_digest", HexDigest(out.state_digest));
   obs::Json shards = obs::Json::Array();
-  for (std::uint64_t d : out.shard_digests) shards.Push(Hex(d));
+  for (std::uint64_t d : out.shard_digests) shards.Push(HexDigest(d));
   row.Set("shard_digests", std::move(shards));
   // Transport cost columns, summed over all node processes.
   // Nondeterministic syscall/wall columns are reported, never compared.
@@ -149,7 +143,7 @@ int Main() {
     std::printf("%14s | %5llu | %7s | %16s | %7llu | %9llu | %7.1f%s\n",
                 std::string(SchemeKindName(config.kind)).c_str(),
                 (unsigned long long)config.seed, plan_label,
-                Hex(proc.state_digest).c_str(),
+                HexDigest(proc.state_digest).c_str(),
                 (unsigned long long)proc.Counter("proc.frames_sent"),
                 (unsigned long long)proc.Counter("proc.bytes_sent"),
                 wall * 1e3, equal ? "" : "  << MISMATCH");

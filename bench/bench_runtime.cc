@@ -35,12 +35,6 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5};
 
-std::string Hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
-  return buf;
-}
-
 const char* BackendName(RuntimeBackend backend) {
   return backend == RuntimeBackend::kThreads ? "threads" : "sim";
 }
@@ -111,9 +105,9 @@ constexpr double kBatchingGate = 1.5;
 obs::Json RuntimeRow(const SimConfig& config, const SimOutcome& out) {
   obs::Json row = ReportRow(config, out);
   row.Set("backend", BackendName(config.backend));
-  row.Set("state_digest", Hex(out.state_digest));
+  row.Set("state_digest", HexDigest(out.state_digest));
   obs::Json shards = obs::Json::Array();
-  for (std::uint64_t d : out.shard_digests) shards.Push(Hex(d));
+  for (std::uint64_t d : out.shard_digests) shards.Push(HexDigest(d));
   row.Set("shard_digests", std::move(shards));
   if (config.backend == RuntimeBackend::kThreads) {
     row.Set("runtime_dispatched", out.runtime_dispatched);
@@ -160,7 +154,7 @@ int Main() {
       std::printf("%22s | %5llu | %10.2f | %16s | %8llu | %8.3f%s\n",
                   std::string(SchemeKindName(kind)).c_str(),
                   (unsigned long long)seed, thr_out.Rate(thr_out.committed),
-                  Hex(thr_out.state_digest).c_str(),
+                  HexDigest(thr_out.state_digest).c_str(),
                   (unsigned long long)thr_out.runtime_dispatched,
                   thr_out.wall_sim_ratio, equal ? "" : "  << MISMATCH");
       report.AddRow(
@@ -187,7 +181,7 @@ int Main() {
       std::printf("%22s | %5llu | %10.2f | %16s | %8llu | crash+wal%s\n",
                   std::string(SchemeKindName(kind)).c_str(),
                   (unsigned long long)seed, thr_out.Rate(thr_out.committed),
-                  Hex(thr_out.state_digest).c_str(),
+                  HexDigest(thr_out.state_digest).c_str(),
                   (unsigned long long)thr_out.runtime_dispatched,
                   equal ? "" : "  << MISMATCH");
       report.AddRow(
@@ -252,7 +246,8 @@ int Main() {
                 (unsigned long long)seed, out.runtime_wall_seconds,
                 (unsigned long long)out.runtime_dispatched,
                 (unsigned long long)out.runtime_mailbox_pushed, ratio,
-                Hex(out.state_digest).c_str(), equal ? "" : "  << MISMATCH");
+                HexDigest(out.state_digest).c_str(),
+                equal ? "" : "  << MISMATCH");
   }
 
   const double ratio_gate = 1.0 / kBatchingGate;

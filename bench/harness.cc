@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "fault/fault_injector.h"
 #include "fault/invariant_checker.h"
 #include "obs/timeseries.h"
 #include "replication/driver.h"
+#include "replication/quorum.h"
 #include "util/logging.h"
 
 namespace tdr::bench {
@@ -47,6 +49,13 @@ std::string_view SchemeKindName(SchemeKind kind) {
       return "lazy-master";
   }
   return "?";
+}
+
+std::string HexDigest(std::uint64_t digest) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
 }
 
 analytic::ModelParams ToModelParams(const SimConfig& config) {
@@ -469,6 +478,66 @@ void PrintBanner(const char* experiment_id, const char* title,
   std::printf("Paper artifact: %s\n", paper_ref);
   std::printf("==============================================================="
               "=================\n");
+}
+
+namespace {
+
+Cluster::Options HotClusterOptions() {
+  Cluster::Options o;
+  o.num_nodes = HotPathRig::kNodes;
+  o.db_size = HotPathRig::kDbSize;
+  o.action_time = SimTime::Seconds(HotPathRig::kActionTime);
+  o.seed = 42;
+  o.enable_metrics = false;
+  return o;
+}
+
+std::vector<NodeId> AllNodes(std::uint32_t n) {
+  std::vector<NodeId> nodes(n);
+  for (std::uint32_t i = 0; i < n; ++i) nodes[i] = i;
+  return nodes;
+}
+
+}  // namespace
+
+HotPathRig::HotPathRig(HotScheme scheme, double window_seconds)
+    : cluster_(HotClusterOptions()),
+      ownership_(Ownership::RoundRobin(kDbSize, AllNodes(kNodes))) {
+  BatchShipper::Options batched;
+  batched.flush_window = SimTime::Millis(50);
+  switch (scheme) {
+    case HotScheme::kEagerGroup:
+      scheme_ = std::make_unique<EagerGroupScheme>(&cluster_);
+      break;
+    case HotScheme::kLazyGroup:
+      scheme_ = std::make_unique<LazyGroupScheme>(&cluster_);
+      break;
+    case HotScheme::kLazyGroupBatched: {
+      LazyGroupScheme::Options o;
+      o.batch = batched;
+      scheme_ = std::make_unique<LazyGroupScheme>(&cluster_, o);
+      break;
+    }
+    case HotScheme::kLazyMaster:
+      scheme_ = std::make_unique<LazyMasterScheme>(&cluster_, &ownership_);
+      break;
+    case HotScheme::kLazyMasterBatched: {
+      LazyMasterScheme::Options o;
+      o.batch = batched;
+      scheme_ =
+          std::make_unique<LazyMasterScheme>(&cluster_, &ownership_, o);
+      break;
+    }
+    case HotScheme::kQuorum:
+      scheme_ = std::make_unique<QuorumEagerScheme>(&cluster_);
+      break;
+  }
+  WorkloadDriver::Options dopts;
+  dopts.tps_per_node = kTpsPerNode;
+  dopts.workload.db_size = kDbSize;
+  dopts.workload.actions = kActions;
+  dopts.seconds = window_seconds;
+  driver_ = std::make_unique<WorkloadDriver>(&cluster_, scheme_.get(), dopts);
 }
 
 }  // namespace tdr::bench

@@ -15,6 +15,7 @@
 #include "obs/run_report.h"
 #include "obs/timeseries.h"
 #include "replication/cluster.h"
+#include "replication/driver.h"
 #include "replication/eager.h"
 #include "replication/lazy_group.h"
 #include "replication/lazy_master.h"
@@ -36,6 +37,10 @@ enum class SchemeKind {
 };
 
 std::string_view SchemeKindName(SchemeKind kind);
+
+/// A 64-bit digest as 16 lowercase hex digits — the form the BENCH_*.json
+/// reports store digests in.
+std::string HexDigest(std::uint64_t digest);
 
 /// One simulated run of the Table-2 workload model under a scheme.
 struct SimConfig {
@@ -281,6 +286,41 @@ obs::Json ReportRow(const SimConfig& config, const SimOutcome& out);
 /// Writes `report` to `path` (under the current working directory by
 /// convention: BENCH_<name>.json), logging on failure.
 void WriteReport(const obs::RunReport& report, const std::string& path);
+
+/// The scheme configurations of E14 (bench_hot_path).
+enum class HotScheme {
+  kEagerGroup,
+  kLazyGroup,
+  kLazyGroupBatched,  // 50 ms BatchShipper flush window
+  kLazyMaster,
+  kLazyMasterBatched,  // 50 ms BatchShipper flush window
+  kQuorum,
+};
+
+/// E14's cluster and open-loop workload under one HotScheme: 4 nodes x
+/// 10,000 objects, 5 ms actions, seed 42, no metrics registry (the bare
+/// hot path), 120 txn/s per node of 4-action transactions. Each Run()
+/// is one window of `window_seconds` simulated seconds on the same
+/// cluster, so a first Run() can serve as warmup.
+class HotPathRig {
+ public:
+  static constexpr std::uint32_t kNodes = 4;
+  static constexpr std::uint64_t kDbSize = 10000;
+  static constexpr double kTpsPerNode = 120;
+  static constexpr std::uint32_t kActions = 4;
+  static constexpr double kActionTime = 0.005;
+
+  HotPathRig(HotScheme scheme, double window_seconds);
+
+  WorkloadDriver::Outcome Run() { return driver_->Run(); }
+  std::uint64_t StateDigest() const { return cluster_.StateDigest(); }
+
+ private:
+  Cluster cluster_;
+  Ownership ownership_;
+  std::unique_ptr<ReplicationScheme> scheme_;
+  std::unique_ptr<WorkloadDriver> driver_;
+};
 
 }  // namespace tdr::bench
 

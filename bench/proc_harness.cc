@@ -1,12 +1,16 @@
 #include "bench/proc_harness.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "proc/frame.h"
 #include "proc/net_bridge.h"
 #include "proc/process_coordinator.h"
+#include "util/decimal.h"
 #include "util/logging.h"
 
 namespace tdr::bench {
@@ -37,6 +41,7 @@ std::string SerializeSimConfig(const SimConfig& c) {
   PutF64(&out, "action_time", c.action_time);
   PutF64(&out, "sim_seconds", c.sim_seconds);
   PutU64(&out, "seed", c.seed);
+  PutU64(&out, "poisson_arrivals", c.poisson_arrivals ? 1 : 0);
   PutF64(&out, "mix_write", c.mix.write);
   PutF64(&out, "mix_add", c.mix.add);
   PutF64(&out, "mix_subtract", c.mix.subtract);
@@ -56,7 +61,9 @@ std::string SerializeSimConfig(const SimConfig& c) {
   PutF64(&out, "wal_group_window", c.wal_group_window);
   PutU64(&out, "wal_group_max_records", c.wal_group_max_records);
   PutU64(&out, "wal_segment_bytes", c.wal_segment_bytes);
-  out.append(StrPrintf("wal_dir=%s\n", c.wal_dir.c_str()));
+  PutU64(&out, "wal_fsync", c.wal_fsync ? 1 : 0);
+  // Byte for byte: a %s would stop at a NUL.
+  out.append("wal_dir=").append(c.wal_dir).append("\n");
   PutU64(&out, "enable_metrics", c.enable_metrics ? 1 : 0);
   PutU64(&out, "record_series", c.record_series ? 1 : 0);
   PutF64(&out, "series_interval_seconds", c.series_interval_seconds);
@@ -85,90 +92,114 @@ bool ParseSimConfig(const std::string& text, SimConfig* out,
       out->wal_dir = val;
       continue;
     }
+    // Integer fields take plain decimal digits that fit the field
+    // (enums: a declared value; flags: 0 or 1); real fields take any
+    // finite number strtod reads whole.
+    std::uint64_t u = 0;
+    const bool is_uint = ParseDecimalU64(val, &u);
     char* end = nullptr;
     const double f = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0') {
-      *error = StrPrintf("non-numeric config value in: %s", line.c_str());
-      return false;
-    }
-    const std::uint64_t u =
-        std::strtoull(val.c_str(), &end, 10);
+    const bool is_real =
+        end != val.c_str() && *end == '\0' && std::isfinite(f);
+    auto as_uint = [&](std::uint64_t max, auto* field) {
+      if (!is_uint || u > max) return false;
+      *field = static_cast<std::remove_pointer_t<decltype(field)>>(u);
+      return true;
+    };
+    auto as_real = [&](double* field) {
+      *field = f;
+      return is_real;
+    };
+    constexpr std::uint64_t kU32 = UINT32_MAX;
+    constexpr std::uint64_t kU64 = UINT64_MAX;
+    bool ok = false;
     if (key == "version") {
-      if (u != kConfigVersion) {
+      if (is_uint && u != kConfigVersion) {
         *error = StrPrintf("config version %llu, expected %d",
                            static_cast<unsigned long long>(u),
                            kConfigVersion);
         return false;
       }
-      saw_version = true;
+      ok = saw_version = is_uint;
     } else if (key == "kind") {
-      out->kind = static_cast<SchemeKind>(u);
+      ok = as_uint(static_cast<std::uint64_t>(SchemeKind::kLazyMaster),
+                   &out->kind);
     } else if (key == "nodes") {
-      out->nodes = static_cast<std::uint32_t>(u);
+      ok = as_uint(kU32, &out->nodes);
     } else if (key == "db_size") {
-      out->db_size = u;
+      ok = as_uint(kU64, &out->db_size);
     } else if (key == "tps") {
-      out->tps = f;
+      ok = as_real(&out->tps);
     } else if (key == "actions") {
-      out->actions = static_cast<std::uint32_t>(u);
+      ok = as_uint(kU32, &out->actions);
     } else if (key == "action_time") {
-      out->action_time = f;
+      ok = as_real(&out->action_time);
     } else if (key == "sim_seconds") {
-      out->sim_seconds = f;
+      ok = as_real(&out->sim_seconds);
     } else if (key == "seed") {
-      out->seed = u;
+      ok = as_uint(kU64, &out->seed);
+    } else if (key == "poisson_arrivals") {
+      ok = as_uint(1, &out->poisson_arrivals);
     } else if (key == "mix_write") {
-      out->mix.write = f;
+      ok = as_real(&out->mix.write);
     } else if (key == "mix_add") {
-      out->mix.add = f;
+      ok = as_real(&out->mix.add);
     } else if (key == "mix_subtract") {
-      out->mix.subtract = f;
+      ok = as_real(&out->mix.subtract);
     } else if (key == "mix_append") {
-      out->mix.append = f;
+      ok = as_real(&out->mix.append);
     } else if (key == "mix_read") {
-      out->mix.read = f;
+      ok = as_real(&out->mix.read);
     } else if (key == "num_shards") {
-      out->num_shards = static_cast<std::uint32_t>(u);
+      ok = as_uint(kU32, &out->num_shards);
     } else if (key == "batch_flush_window") {
-      out->batch_flush_window = f;
+      ok = as_real(&out->batch_flush_window);
     } else if (key == "batch_max_updates") {
-      out->batch_max_updates = u;
+      ok = as_uint(kU64, &out->batch_max_updates);
     } else if (key == "hot_fraction") {
-      out->hot_fraction = f;
+      ok = as_real(&out->hot_fraction);
     } else if (key == "hot_shards") {
-      out->hot_shards = static_cast<std::uint32_t>(u);
+      ok = as_uint(kU32, &out->hot_shards);
     } else if (key == "skew_shards") {
-      out->skew_shards = static_cast<std::uint32_t>(u);
+      ok = as_uint(kU32, &out->skew_shards);
     } else if (key == "fault_drop_probability") {
-      out->fault_drop_probability = f;
+      ok = as_real(&out->fault_drop_probability);
     } else if (key == "fault_partition_cycle") {
-      out->fault_partition_cycle = u != 0;
+      ok = as_uint(1, &out->fault_partition_cycle);
     } else if (key == "fault_crash_cycle") {
-      out->fault_crash_cycle = u != 0;
+      ok = as_uint(1, &out->fault_crash_cycle);
     } else if (key == "durability") {
-      out->durability = static_cast<DurabilityMode>(u);
+      ok = as_uint(static_cast<std::uint64_t>(DurabilityMode::kGroup),
+                   &out->durability);
     } else if (key == "wal_flush_latency") {
-      out->wal_flush_latency = f;
+      ok = as_real(&out->wal_flush_latency);
     } else if (key == "wal_group_window") {
-      out->wal_group_window = f;
+      ok = as_real(&out->wal_group_window);
     } else if (key == "wal_group_max_records") {
-      out->wal_group_max_records = u;
+      ok = as_uint(kU64, &out->wal_group_max_records);
     } else if (key == "wal_segment_bytes") {
-      out->wal_segment_bytes = u;
+      ok = as_uint(kU64, &out->wal_segment_bytes);
+    } else if (key == "wal_fsync") {
+      ok = as_uint(1, &out->wal_fsync);
     } else if (key == "enable_metrics") {
-      out->enable_metrics = u != 0;
+      ok = as_uint(1, &out->enable_metrics);
     } else if (key == "record_series") {
-      out->record_series = u != 0;
+      ok = as_uint(1, &out->record_series);
     } else if (key == "series_interval_seconds") {
-      out->series_interval_seconds = f;
+      ok = as_real(&out->series_interval_seconds);
     } else if (key == "backend") {
-      out->backend = static_cast<RuntimeBackend>(u);
+      ok = as_uint(static_cast<std::uint64_t>(RuntimeBackend::kThreads),
+                   &out->backend);
     } else if (key == "drain") {
-      out->drain = u != 0;
+      ok = as_uint(1, &out->drain);
     } else if (key == "run_invariant_checker") {
-      out->run_invariant_checker = u != 0;
+      ok = as_uint(1, &out->run_invariant_checker);
     } else {
       *error = StrPrintf("unknown config key: %s", key.c_str());
+      return false;
+    }
+    if (!ok) {
+      *error = StrPrintf("malformed config value in: %s", line.c_str());
       return false;
     }
   }

@@ -11,10 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <sstream>
+#include <string_view>
 
+#include "util/decimal.h"
 #include "util/logging.h"
 
 namespace tdr::proc {
@@ -50,8 +51,9 @@ std::string NodeReport::Serialize() const {
         static_cast<unsigned long long>(owned_shard_digests[i])));
   }
   for (const auto& [name, value] : counters) {
-    out.append(StrPrintf("counter=%s:%llu\n", name.c_str(),
-                         static_cast<unsigned long long>(value)));
+    // The name goes in byte for byte (a %s would stop at a NUL).
+    out.append("counter=").append(name);
+    out.append(StrPrintf(":%llu\n", static_cast<unsigned long long>(value)));
   }
   return out;
 }
@@ -59,7 +61,7 @@ std::string NodeReport::Serialize() const {
 bool NodeReport::Parse(const std::string& text, NodeReport* out,
                        std::string* error) {
   *out = NodeReport();
-  std::size_t shards = 0;
+  std::uint64_t shards = 0;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -70,41 +72,41 @@ bool NodeReport::Parse(const std::string& text, NodeReport* out,
       return false;
     }
     const std::string key = line.substr(0, eq);
-    const std::string val = line.substr(eq + 1);
-    char* end = nullptr;
-    if (key == "shard") {
-      const std::size_t colon = val.find(':');
-      if (colon == std::string::npos) {
-        *error = StrPrintf("malformed shard line: %s", line.c_str());
+    const std::string_view val = std::string_view(line).substr(eq + 1);
+    std::uint64_t num = 0;
+    if (key == "shard" || key == "counter") {
+      // shard=<index>:<digest> and counter=<name>:<value>; a counter
+      // name may itself hold ':', so it ends at the last one.
+      const std::size_t colon =
+          key == "shard" ? val.find(':') : val.rfind(':');
+      if (colon == std::string_view::npos ||
+          !ParseDecimalU64(val.substr(colon + 1), &num)) {
+        *error = StrPrintf("malformed %s line: %s", key.c_str(),
+                           line.c_str());
         return false;
       }
-      const std::size_t idx =
-          std::strtoull(val.c_str(), &end, 10);
-      if (idx != out->owned_shard_digests.size()) {
+      if (key == "counter") {
+        out->counters.emplace_back(std::string(val.substr(0, colon)), num);
+        continue;
+      }
+      std::uint64_t idx = 0;
+      if (!ParseDecimalU64(val.substr(0, colon), &idx) ||
+          idx != out->owned_shard_digests.size()) {
         *error = StrPrintf("shard lines out of order at: %s", line.c_str());
         return false;
       }
-      out->owned_shard_digests.push_back(
-          std::strtoull(val.c_str() + colon + 1, &end, 10));
+      out->owned_shard_digests.push_back(num);
       continue;
     }
-    if (key == "counter") {
-      const std::size_t colon = val.rfind(':');
-      if (colon == std::string::npos) {
-        *error = StrPrintf("malformed counter line: %s", line.c_str());
-        return false;
-      }
-      out->counters.emplace_back(
-          val.substr(0, colon),
-          std::strtoull(val.c_str() + colon + 1, &end, 10));
-      continue;
-    }
-    const std::uint64_t num = std::strtoull(val.c_str(), &end, 10);
-    if (end == val.c_str() || *end != '\0') {
+    if (!ParseDecimalU64(val, &num)) {
       *error = StrPrintf("non-numeric value in: %s", line.c_str());
       return false;
     }
     if (key == "node") {
+      if (num > UINT32_MAX) {
+        *error = StrPrintf("node id out of range in: %s", line.c_str());
+        return false;
+      }
       out->node = static_cast<std::uint32_t>(num);
     } else if (key == "state_digest") {
       out->state_digest = num;
@@ -126,7 +128,8 @@ bool NodeReport::Parse(const std::string& text, NodeReport* out,
     }
   }
   if (out->owned_shard_digests.size() != shards) {
-    *error = StrPrintf("report declared %zu shards, carried %zu", shards,
+    *error = StrPrintf("report declared %llu shards, carried %zu",
+                       static_cast<unsigned long long>(shards),
                        out->owned_shard_digests.size());
     return false;
   }

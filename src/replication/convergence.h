@@ -129,6 +129,11 @@ class GossipReplica {
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
 
+  /// The version vector of this replica's copy of `oid`. Kept beside
+  /// the store rather than in its rows, which only the §6 exchange
+  /// needs.
+  const VersionVector& vv(ObjectId oid) const { return vv_[oid]; }
+
   // --- State-based local updates (timestamped replace / RMW) ---
 
   /// Local timestamped replace ("change account from $200 to $150"):
@@ -175,6 +180,7 @@ class GossipReplica {
 
   NodeId id_;
   ObjectStore store_;
+  std::vector<VersionVector> vv_;  // one per object id
   LamportClock clock_;
   // Operation-based state: full op log (own + received), delivery
   // watermark per origin.

@@ -142,21 +142,12 @@ void ReplicaApplier::AcquireNext(Job* job) {
   LockManager::AcquireOutcome outcome = job->node->locks().Acquire(
       job->txn, rec.oid, [this, job, serial]() {
         if (job->serial != serial) return;
-        // Lock granted after a wait; pay the action time then apply.
-        sim_->ScheduleAfterNode(
-            job->node->id(), job->options.action_time,
-            [this, job, serial]() {
-              if (job->serial != serial) return;
-              ApplyCurrent(job);
-            });
+        // Lock granted after a wait.
+        ScheduleApply(job);
       });
   switch (outcome) {
     case LockManager::AcquireOutcome::kGranted:
-      sim_->ScheduleAfterNode(
-          job->node->id(), job->options.action_time, [this, job, serial]() {
-            if (job->serial != serial) return;
-            ApplyCurrent(job);
-          });
+      ScheduleApply(job);
       return;
     case LockManager::AcquireOutcome::kQueued:
       m_waits_.Increment();
@@ -165,6 +156,22 @@ void ReplicaApplier::AcquireNext(Job* job) {
       HandleDeadlock(job);
       return;
   }
+}
+
+void ReplicaApplier::ScheduleApply(Job* job) {
+  // Touch-ahead (DESIGN.md §12.5): the apply runs one action time from
+  // now and the next record's Acquire follows it, so start loading this
+  // record's row and the next one's lock slot.
+  job->node->store().Prefetch(job->records[job->idx].oid);
+  if (job->idx + 1 < job->records.size()) {
+    job->node->locks().Prefetch(job->records[job->idx + 1].oid);
+  }
+  const std::uint64_t serial = job->serial;
+  sim_->ScheduleAfterNode(job->node->id(), job->options.action_time,
+                          [this, job, serial]() {
+                            if (job->serial != serial) return;
+                            ApplyCurrent(job);
+                          });
 }
 
 void ReplicaApplier::ApplyCurrent(Job* job) {

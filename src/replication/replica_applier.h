@@ -122,6 +122,8 @@ class ReplicaApplier {
   void ApplySharded(Node* node, const std::vector<UpdateRecord>& records,
                     const Options& options, Done done);
   void AcquireNext(Job* job);
+  /// Pays the action time for the locked current record, then applies it.
+  void ScheduleApply(Job* job);
   void ApplyCurrent(Job* job);
   void HandleDeadlock(Job* job);
   void FinishJob(Job* job);

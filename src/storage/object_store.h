@@ -15,18 +15,22 @@
 
 namespace tdr {
 
-/// One replicated object as stored at a node: current value, the
-/// timestamp of the transaction that last wrote it, and (for the §6
-/// version-vector schemes) its version vector.
+/// One replicated object as stored at a node: current value and the
+/// timestamp of the transaction that last wrote it. The §6 gossip
+/// replicas keep their version vectors beside the store
+/// (GossipReplica::vv), so every row stays this small.
 struct StoredObject {
   Value value;
   Timestamp ts;
-  VersionVector vv;
 
   std::string ToString() const {
     return value.ToString() + " @" + ts.ToString();
   }
 };
+
+// Every replica apply lands on a random row; at 48 bytes a row spans at
+// most two cache lines (DESIGN.md §12.5).
+static_assert(sizeof(StoredObject) <= 48, "store row grew past 48 bytes");
 
 /// A node's replica of the database: DB_Size objects, dense ids.
 ///
@@ -58,6 +62,17 @@ class ObjectStore {
   const StoredObject& GetUnchecked(ObjectId oid) const {
     assert(oid < objects_.size());
     return objects_[oid];
+  }
+
+  /// Touch-ahead hint (DESIGN.md §12.5): starts loading every cache
+  /// line `oid`'s row spans — a row that straddles a line boundary keeps
+  /// `ts` in the second one. Reads only the row array's base pointer,
+  /// which never changes after construction, so any thread may call it.
+  void Prefetch(ObjectId oid) const {
+    assert(oid < objects_.size());
+    const char* row = reinterpret_cast<const char*>(objects_.data() + oid);
+    __builtin_prefetch(row);
+    __builtin_prefetch(row + sizeof(StoredObject) - 1);
   }
 
   /// Installs a new value and timestamp unconditionally (used by the

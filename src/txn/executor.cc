@@ -273,6 +273,14 @@ void Executor::StepExecute(Inflight* t) {
                                    !t->opts.charge_reads))
                      ? SimTime::Zero()
                      : t->opts.action_time;
+  // Touch-ahead (DESIGN.md §12.5): ApplyStep reads this row `cost`
+  // from now and the next step's Acquire follows it, so start loading
+  // both while the action time passes.
+  node(step.node)->store().Prefetch(step.op.oid);
+  if (t->pc + 1 < t->steps.size()) {
+    const ExecStep& next = t->steps[t->pc + 1];
+    node(next.node)->locks().Prefetch(next.op.oid);
+  }
   TxnId id = t->id;
   // The step mutates step.node's store/locks: run it on that node's
   // worker under the thread backend.

@@ -95,6 +95,14 @@ class LockManager {
 
   bool Holds(TxnId txn, ObjectId oid) const;
 
+  /// Touch-ahead hint (DESIGN.md §12.5): starts loading `oid`'s lock
+  /// slot. A 16-byte slot never straddles a cache line. Reads only the
+  /// slot array's base pointer, fixed at construction, so any thread
+  /// may call it.
+  void Prefetch(ObjectId oid) const {
+    __builtin_prefetch(slots_.data() + oid);
+  }
+
   /// Number of locks `txn` currently holds at this node.
   std::size_t HeldCount(TxnId txn) const;
 

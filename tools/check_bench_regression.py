@@ -74,6 +74,7 @@ RATE_SUFFIXES = ("_per_sec", "_rate")
 IGNORED_FIELDS = (
     "wall_seconds",
     "wall_sim_ratio",
+    "ns_per_committed",
     "runtime_dispatched",
     "runtime_wall_seconds",
     "seconds",
