@@ -26,7 +26,6 @@
 namespace tdr::bench {
 namespace {
 
-constexpr double kWarmupSeconds = 5;
 constexpr double kMeasureSeconds = 20;
 
 struct HotConfig {
@@ -51,9 +50,10 @@ struct HotResult {
 HotResult RunHot(const HotConfig& config) {
   HotPathRig rig(config.scheme, kMeasureSeconds);
 
-  // Warmup window: reaches open-loop steady state and fills every pool
-  // (event slots, messages, lock waiters, inflight txns, batches).
-  // Only the second window is measured.
+  // Warmup window, as long as the measured one: reaches open-loop
+  // steady state and fills every pool (event slots, messages, lock
+  // waiters, inflight txns, batches). Only the second window is
+  // measured.
   (void)rig.Run();
 
   // TDR_TRACE_ALLOCS=N dumps backtraces for the first N measured-window
@@ -112,7 +112,7 @@ int Main() {
       .SetConfig("tps_per_node", obs::Json(HotPathRig::kTpsPerNode))
       .SetConfig("actions", obs::Json(std::uint64_t{HotPathRig::kActions}))
       .SetConfig("action_time", obs::Json(HotPathRig::kActionTime))
-      .SetConfig("warmup_seconds", obs::Json(kWarmupSeconds))
+      .SetConfig("warmup_seconds", obs::Json(kMeasureSeconds))
       .SetConfig("measure_seconds", obs::Json(kMeasureSeconds))
       .SetConfig("alloc_audit_linked", obs::Json(AllocAuditLinked()));
 

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: event
-// scheduling, lock acquisition, deadlock search, RNG, store digests, and
-// the checksummed codecs (CRC32C, WAL record append, proc frame encode).
+// scheduling, lock acquisition, deadlock search, RNG, store digests,
+// profile scopes, and the checksummed codecs (CRC32C, WAL record append,
+// proc frame encode).
 // These bound how large a simulated cluster the experiment benches can
 // afford; they are not paper artifacts themselves.
 
@@ -9,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "proc/frame.h"
 #include "replication/cluster.h"
 #include "replication/eager.h"
@@ -164,6 +167,21 @@ void BM_ReplicaApplyRandomRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReplicaApplyRandomRow)->Arg(0)->Arg(1);
+
+// ns per obs::ProfileScope: /0 on a default (no-op) handle, what every
+// scope on the hot path costs with metrics off; /1 on a registry's
+// recording handle (two steady_clock reads plus a Welford update).
+void BM_ProfileScope(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  const obs::MetricsRegistry::StatsHandle handle =
+      state.range(0) != 0 ? registry.GetProfile("profile.bench")
+                          : obs::MetricsRegistry::StatsHandle();
+  for (auto _ : state) {
+    obs::ProfileScope scope(handle);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProfileScope)->Arg(0)->Arg(1);
 
 void BM_RngSampleWithoutReplacement(benchmark::State& state) {
   Rng rng(99);

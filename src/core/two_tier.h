@@ -131,6 +131,8 @@ class TwoTierSystem {
   Ownership& ownership() { return ownership_; }
   const Ownership& ownership() const { return ownership_; }
   LazyMasterScheme& lazy_master() { return lazy_master_; }
+  /// The applier of local transactions' lazy slave refreshes.
+  const ReplicaApplier& local_applier() const { return applier_; }
 
   std::uint32_t num_base() const { return options_.num_base; }
   std::uint32_t num_mobile() const { return options_.num_mobile; }

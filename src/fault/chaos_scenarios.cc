@@ -221,9 +221,7 @@ ChaosOutcome RunChaosCluster(const ChaosConfig& cfg) {
   out.committed = window.committed;
   out.deadlocks = window.deadlocks;
   out.unavailable = window.unavailable;
-  out.reconciliations = bundle.lazy_group != nullptr
-                            ? bundle.lazy_group->reconciliations()
-                            : cluster.metrics().Get("replica.conflicts");
+  out.reconciliations = driver.CurrentReconciliations();
   out.delusion_slots = checker.delusion_slots();
   out.catch_up_objects =
       bundle.lazy_master != nullptr  ? bundle.lazy_master->catch_up_objects()
@@ -357,8 +355,9 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
 
   out.committed = cluster.executor().committed();
   out.deadlocks = cluster.executor().deadlocked();
-  out.unavailable = cluster.metrics().Get("scheme.unavailable");
-  out.reconciliations = cluster.metrics().Get("replica.conflicts");
+  out.unavailable = sys.lazy_master().unavailable();
+  out.reconciliations = sys.lazy_master().replica_applier()->conflicts() +
+                        sys.local_applier().conflicts();
   out.delusion_slots = checker.delusion_slots();
   out.catch_up_objects = sys.lazy_master().catch_up_objects();
   out.violations = checker.violations_total();

@@ -1,18 +1,9 @@
 #ifndef TDR_OBS_PROFILE_H_
 #define TDR_OBS_PROFILE_H_
 
-#include "obs/metrics.h"
-
-// Compiled in (1) or out (0) by the TDR_PROFILING CMake option. When
-// out, ProfileScope is an empty type and the compiler deletes every
-// scope entirely — the instrumented hot paths carry zero cost.
-#ifndef TDR_PROFILING_ENABLED
-#define TDR_PROFILING_ENABLED 1
-#endif
-
-#if TDR_PROFILING_ENABLED
 #include <chrono>
-#endif
+
+#include "obs/metrics.h"
 
 namespace tdr::obs {
 
@@ -27,31 +18,28 @@ namespace tdr::obs {
 ///
 ///   obs::ProfileScope scope(registry->GetProfile("profile.replica_apply"));
 ///
-/// Acquire the StatsHandle once (cold) and pass it by value; a default
-/// (no-op) handle makes the scope free even when profiling is compiled
-/// in.
+/// Acquire the StatsHandle once (cold) and pass it by value. The clock
+/// is read only when the handle records: a default (no-op) handle costs
+/// one null test, not two steady_clock reads.
 class ProfileScope {
  public:
-#if TDR_PROFILING_ENABLED
   explicit ProfileScope(MetricsRegistry::StatsHandle handle)
-      : handle_(handle), start_(std::chrono::steady_clock::now()) {}
+      : handle_(handle) {
+    if (handle_.stats() != nullptr) start_ = std::chrono::steady_clock::now();
+  }
   ~ProfileScope() {
+    if (handle_.stats() == nullptr) return;
     auto elapsed = std::chrono::steady_clock::now() - start_;
     handle_.Record(
         std::chrono::duration<double, std::micro>(elapsed).count());
   }
-#else
-  explicit ProfileScope(MetricsRegistry::StatsHandle) {}
-#endif
 
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-#if TDR_PROFILING_ENABLED
   MetricsRegistry::StatsHandle handle_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace tdr::obs

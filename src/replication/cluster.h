@@ -51,10 +51,14 @@ class Cluster {
     /// detection. Turn off to rely on executor wait timeouts instead
     /// (production-style detection; see the A4 ablation).
     bool detect_deadlock_cycles = true;
-    /// If false, Executor/Network/schemes are built with no registry —
-    /// every metric handle degrades to a no-op. This is the baseline
-    /// bench_headline compares against to bound instrumentation
-    /// overhead; metrics() still exists but stays empty.
+    /// If false, Executor/Network/schemes/driver get no registry (see
+    /// metrics_or_null): every metric handle is a no-op, and neither a
+    /// ProfileScope nor a ThreadRuntime worker reads the wall clock.
+    /// Counts a run reports (WorkloadDriver::Outcome) come from their
+    /// owners and do not change. metrics() still exists: the fault
+    /// layer, catch-up, retries and two-tier still write to it by name,
+    /// but nothing on the transaction path does. This is the baseline
+    /// bench_headline compares against to bound instrumentation overhead.
     bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
     RuntimeBackend backend = RuntimeBackend::kSim;

@@ -2,6 +2,7 @@
 
 #include "obs/profile.h"
 #include "replication/lazy_group.h"
+#include "replication/replica_applier.h"
 #include "util/logging.h"
 
 namespace tdr {
@@ -34,32 +35,40 @@ WorkloadDriver::WorkloadDriver(Cluster* cluster, ReplicationScheme* scheme,
       generator_(WithDbSize(options.workload, cluster->options().db_size)) {
   // Resolve every labeled handle once — metric resolution builds label
   // strings, and Run() is expected to stay allocation-free per window
-  // (the E14 steady-state contract).
-  for (NodeId origin = 0; origin < cluster_->size(); ++origin) {
-    submitted_at_.push_back(cluster_->metrics().GetCounter(
-        "driver.submitted", {{"node", std::to_string(origin)}}));
+  // (the E14 steady-state contract). Metrics off: every handle no-ops.
+  submitted_at_.resize(cluster_->size());
+  if (obs::MetricsRegistry* metrics = cluster_->metrics_or_null()) {
+    for (NodeId origin = 0; origin < cluster_->size(); ++origin) {
+      submitted_at_[origin] = metrics->GetCounter(
+          "driver.submitted", {{"node", std::to_string(origin)}});
+    }
+    skipped_crashed_ = metrics->GetCounter("driver.skipped_crashed");
+    profile_event_loop_ = metrics->GetProfile("profile.event_loop");
   }
-  skipped_crashed_ = cluster_->metrics().GetCounter("driver.skipped_crashed");
-  profile_event_loop_ = cluster_->metrics().GetProfile("profile.event_loop");
 }
 
 std::uint64_t WorkloadDriver::CurrentReconciliations() const {
-  auto* lazy_group = dynamic_cast<LazyGroupScheme*>(scheme_);
-  return lazy_group != nullptr
-             ? lazy_group->reconciliations()
-             : cluster_->metrics().Get("replica.conflicts");
+  if (auto* lazy_group = dynamic_cast<LazyGroupScheme*>(scheme_)) {
+    return lazy_group->reconciliations();
+  }
+  const ReplicaApplier* applier = scheme_->replica_applier();
+  return applier != nullptr ? applier->conflicts() : 0;
 }
 
 WorkloadDriver::Baseline WorkloadDriver::Snapshot() const {
+  // Every count comes from the component that owns it, never from the
+  // registry, so a metrics-off run reports what a metrics-on run does.
+  const Executor& exec = cluster_->executor();
+  const ReplicaApplier* applier = scheme_->replica_applier();
   Baseline b;
-  b.committed = cluster_->executor().committed();
-  b.deadlocks = cluster_->executor().deadlocked();
-  b.waits = cluster_->metrics().Get("lock.waits");
+  b.committed = exec.committed();
+  b.deadlocks = exec.deadlocked();
+  b.waits = exec.lock_waits();
   b.reconciliations = CurrentReconciliations();
-  b.unavailable = cluster_->metrics().Get("scheme.unavailable");
-  b.replica_deadlocks = cluster_->metrics().Get("replica.deadlocks");
-  b.replica_applied = cluster_->metrics().Get("replica.applied");
-  b.wait_timeouts = cluster_->executor().wait_timeouts();
+  b.unavailable = scheme_->unavailable();
+  b.replica_deadlocks = applier != nullptr ? applier->deadlocks() : 0;
+  b.replica_applied = applier != nullptr ? applier->applied() : 0;
+  b.wait_timeouts = exec.wait_timeouts();
   return b;
 }
 

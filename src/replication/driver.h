@@ -73,7 +73,7 @@ class WorkloadDriver {
   Outcome Run();
 
   /// Reconciliations reported by the scheme if it is a LazyGroupScheme
-  /// (else the cluster's replica.conflicts counter). Exposed for
+  /// (else its replica applier's conflicts; 0 without one). Exposed for
   /// callers composing their own measurement logic.
   std::uint64_t CurrentReconciliations() const;
 

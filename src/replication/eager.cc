@@ -29,7 +29,7 @@ void EagerGroupScheme::Submit(NodeId origin, const Program& program,
                               DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
       (options_.require_all_connected && !AllReachable(cluster_, origin))) {
-    cluster_->metrics().Increment("scheme.unavailable");
+    CountUnavailable(cluster_->metrics_or_null());
     if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
     return;
   }
@@ -63,7 +63,7 @@ void EagerMasterScheme::Submit(NodeId origin, const Program& program,
                                DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
       (options_.require_all_connected && !AllReachable(cluster_, origin))) {
-    cluster_->metrics().Increment("scheme.unavailable");
+    CountUnavailable(cluster_->metrics_or_null());
     if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
     return;
   }
@@ -72,7 +72,7 @@ void EagerMasterScheme::Submit(NodeId origin, const Program& program,
   for (const Op& op : program.ops()) {
     if (op.IsWrite() &&
         !cluster_->net().Reachable(origin, ownership_->OwnerOf(op.oid))) {
-      cluster_->metrics().Increment("scheme.unavailable");
+      CountUnavailable(cluster_->metrics_or_null());
       if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
       return;
     }

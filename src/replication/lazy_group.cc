@@ -9,6 +9,9 @@ LazyGroupScheme::LazyGroupScheme(Cluster* cluster, Options options)
       options_(options),
       applier_(&cluster->runtime(), &cluster->executor(),
                cluster->metrics_or_null()) {
+  if (obs::MetricsRegistry* metrics = cluster_->metrics_or_null()) {
+    m_reconciliations_ = metrics->GetCounter("lazy_group.reconciliations");
+  }
   if (options_.batch.flush_window > SimTime::Zero() ||
       options_.batch.max_batch_updates > 0) {
     shipper_ = std::make_unique<BatchShipper>(
@@ -124,10 +127,7 @@ void LazyGroupScheme::ApplyAt(Node* dest,
                  [this](const ReplicaApplier::Report& report) {
                    reconciliations_ += report.conflicts;
                    replica_applied_ += report.applied;
-                   if (report.conflicts > 0) {
-                     cluster_->metrics().Increment(
-                         "lazy_group.reconciliations", report.conflicts);
-                   }
+                   m_reconciliations_.Increment(report.conflicts);
                  });
 }
 

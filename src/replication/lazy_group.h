@@ -90,6 +90,8 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   /// Replica updates applied cleanly.
   std::uint64_t replica_applied() const { return replica_applied_; }
 
+  const ReplicaApplier* replica_applier() const override { return &applier_; }
+
  private:
   /// Executor completion hook (set as RunOptions::observer on every
   /// root transaction): propagates committed updates. Runs before the
@@ -110,6 +112,7 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   std::vector<sim::EventId> flusher_series_;
   std::uint64_t reconciliations_ = 0;
   std::uint64_t replica_applied_ = 0;
+  obs::MetricsRegistry::Counter m_reconciliations_;  // no-op, metrics off
 };
 
 }  // namespace tdr

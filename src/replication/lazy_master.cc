@@ -56,7 +56,7 @@ void LazyMasterScheme::SubmitWithPrecommit(NodeId origin,
     }
   }
   if (!reachable) {
-    cluster_->metrics().Increment("scheme.unavailable");
+    CountUnavailable(cluster_->metrics_or_null());
     TxnResult r;
     r.origin = origin;
     r.outcome = TxnOutcome::kUnavailable;

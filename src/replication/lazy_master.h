@@ -93,6 +93,8 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   std::uint64_t stale_updates_ignored() const { return stale_ignored_; }
   std::uint64_t catch_up_objects() const { return catch_up_objects_; }
 
+  const ReplicaApplier* replica_applier() const override { return &applier_; }
+
  private:
   /// Executor completion hook (RunOptions::observer on every master
   /// transaction): broadcasts slave refreshes on commit. Runs before

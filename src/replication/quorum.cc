@@ -58,7 +58,7 @@ void QuorumEagerScheme::Submit(NodeId origin, const Program& program,
                                DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
       !WriteQuorumAvailableAt(origin)) {
-    cluster_->metrics().Increment("scheme.unavailable");
+    CountUnavailable(cluster_->metrics_or_null());
     TxnResult r;
     r.origin = origin;
     r.outcome = TxnOutcome::kUnavailable;

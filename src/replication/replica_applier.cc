@@ -186,6 +186,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
     if (s.ok()) {
       installed = true;
       ++job->report.applied;
+      ++applied_;
       m_applied_.Increment();
       if (trace_ != nullptr) {
         Emit(TraceEventType::kReplicaApply, *job, rec.oid,
@@ -196,6 +197,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
       // reconciliation. The local value stays; divergence is now visible
       // until someone reconciles.
       ++job->report.conflicts;
+      ++conflicts_;
       m_conflicts_.Increment();
       if (trace_ != nullptr) {
         Emit(TraceEventType::kReplicaConflict, *job, rec.oid, s.message());
@@ -213,6 +215,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
     if (applied) {
       installed = true;
       ++job->report.applied;
+      ++applied_;
       m_applied_.Increment();
       if (trace_ != nullptr) {
         Emit(TraceEventType::kReplicaApply, *job, rec.oid,
@@ -240,6 +243,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
 }
 
 void ReplicaApplier::HandleDeadlock(Job* job) {
+  ++deadlocks_;
   m_deadlocks_.Increment();
   job->node->locks().ReleaseAll(job->txn);
   ++job->report.deadlock_retries;

@@ -97,6 +97,13 @@ class ReplicaApplier {
   /// Batches currently in flight (including those between retries).
   std::size_t ActiveCount() const { return active_; }
 
+  /// Running totals over every job, bumped where the `replica.applied`,
+  /// `replica.conflicts` and `replica.deadlocks` counters are, and kept
+  /// whether or not a registry is attached.
+  std::uint64_t applied() const { return applied_; }
+  std::uint64_t conflicts() const { return conflicts_; }
+  std::uint64_t deadlocks() const { return deadlocks_; }
+
   /// Attaches a protocol trace sink (not owned; null detaches).
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
@@ -147,6 +154,9 @@ class ReplicaApplier {
   std::vector<obs::MetricsRegistry::Counter> shard_applied_;
   TraceSink* trace_ = nullptr;
   std::size_t active_ = 0;
+  std::uint64_t applied_ = 0;
+  std::uint64_t conflicts_ = 0;
+  std::uint64_t deadlocks_ = 0;
   /// Recycled job slots (unique_ptr for address stability) + free list.
   std::vector<std::unique_ptr<Job>> job_pool_;
   std::vector<std::uint32_t> free_jobs_;

@@ -1,12 +1,16 @@
 #ifndef TDR_REPLICATION_SCHEME_H_
 #define TDR_REPLICATION_SCHEME_H_
 
+#include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
 #include "txn/executor.h"
 #include "txn/program.h"
 
 namespace tdr {
+
+class ReplicaApplier;
 
 /// Interface every replication strategy implements — the Table 1
 /// taxonomy made executable. Submit() runs one user transaction under
@@ -38,6 +42,25 @@ class ReplicationScheme {
   /// propagation continues afterwards).
   virtual void Submit(NodeId origin, const Program& program,
                       DoneCallback done) = 0;
+
+  /// Submissions refused with kUnavailable so far. Counted whether or
+  /// not the cluster has a metrics registry.
+  std::uint64_t unavailable() const { return unavailable_; }
+
+  /// The applier running this scheme's replica-update transactions, or
+  /// null for schemes without one (the eager family).
+  virtual const ReplicaApplier* replica_applier() const { return nullptr; }
+
+ protected:
+  /// Counts one kUnavailable refusal; `metrics` (null when metrics are
+  /// off) also gets it as `scheme.unavailable`.
+  void CountUnavailable(obs::MetricsRegistry* metrics) {
+    ++unavailable_;
+    if (metrics != nullptr) metrics->Increment("scheme.unavailable");
+  }
+
+ private:
+  std::uint64_t unavailable_ = 0;
 };
 
 }  // namespace tdr

@@ -171,9 +171,14 @@ void ThreadRuntime::RunChain(Task* head, Worker* worker) {
       plan_cursor_ = t->plan_index;
     }
     if (!t->cancelled) {
-      SteadyClock::time_point start = SteadyClock::now();
-      RunTaskBody(t);
-      worker->busy += SteadyClock::now() - start;
+      if (metrics_ == nullptr) {
+        RunTaskBody(t);
+      } else {
+        // Busy time feeds only PublishMetrics: no registry, no clock.
+        SteadyClock::time_point start = SteadyClock::now();
+        RunTaskBody(t);
+        worker->busy += SteadyClock::now() - start;
+      }
     }
     if (next == nullptr) {
       // Chain tail. Read everything needed before signalling: once

@@ -78,6 +78,7 @@ class ThreadRuntime final : public Runtime {
   /// event core (never Run directly when this backend owns it).
   /// `metrics` may be null; profile metrics (worker busy time, mailbox
   /// depth, epoch shape, wall/sim ratio) are published on Shutdown.
+  /// Workers time their tasks only when there is a registry to publish to.
   ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
                 Options options, obs::MetricsRegistry* metrics);
 

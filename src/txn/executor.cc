@@ -238,6 +238,7 @@ void Executor::StepAcquire(Inflight* t) {
     case LockManager::AcquireOutcome::kQueued: {
       ++t->result.waits;
       t->wait_started = sim_->Now();
+      ++lock_waits_;
       m_lock_waits_.Increment();
       Emit(TraceEventType::kLockWait, t, step.node, step.op.oid);
       if (t->opts.wait_timeout > SimTime::Zero()) {

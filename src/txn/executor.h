@@ -208,6 +208,10 @@ class Executor {
   std::uint64_t committed() const { return committed_; }
   std::uint64_t deadlocked() const { return deadlocked_; }
   std::uint64_t rejected() const { return rejected_; }
+  /// Lock requests that queued (the `lock.waits` counter, kept whether
+  /// or not a registry is attached). Replica-update waits are the
+  /// appliers' own.
+  std::uint64_t lock_waits() const { return lock_waits_; }
   /// Subset of deadlocked() caused by wait timeouts (only nonzero when
   /// RunOptions::wait_timeout is used).
   std::uint64_t wait_timeouts() const { return wait_timeouts_; }
@@ -302,6 +306,7 @@ class Executor {
   std::uint64_t committed_ = 0;
   std::uint64_t deadlocked_ = 0;
   std::uint64_t rejected_ = 0;
+  std::uint64_t lock_waits_ = 0;
   std::uint64_t wait_timeouts_ = 0;
   Histogram wait_hist_;
 };

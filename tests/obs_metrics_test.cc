@@ -130,6 +130,10 @@ TEST(MetricsRegistryTest, ProfileExcludedFromSnapshotByDefault) {
   ASSERT_NE(prof, nullptr);
   EXPECT_EQ(prof->kind, MetricKind::kProfile);
   EXPECT_EQ(prof->stats.count(), 1u);
+
+  // A scope on a default (no-op) handle records nothing anywhere.
+  { ProfileScope noop{MetricsRegistry::StatsHandle()}; }
+  EXPECT_EQ(reg.Snapshot(with_profile).ToString(), full.ToString());
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsHandlesValid) {

@@ -17,12 +17,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "bench/harness.h"
 
 namespace tdr::bench {
 namespace {
+
+// ctest runs a binary's per-test entries and its label-aggregate entry
+// concurrently; a per-process prefix keeps their WAL directories apart.
+std::string PrivateTempDir() {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_";
+}
 
 std::uint64_t SeedCount(std::uint64_t fallback) {
   if (const char* env = std::getenv("TDR_DIFF_SEEDS")) {
@@ -139,7 +146,7 @@ TEST(WalDifferentialModesTest, FileBackendMatchesMemBackend) {
       SimConfig mem_cfg = CrashConfig(kind, seed, RuntimeBackend::kSim,
                                       DurabilityMode::kGroup);
       SimConfig file_cfg = mem_cfg;
-      file_cfg.wal_dir = ::testing::TempDir() + "tdr_wal_diff_" +
+      file_cfg.wal_dir = PrivateTempDir() + "tdr_wal_diff_" +
                          std::string(SchemeKindName(kind)) + "_" +
                          std::to_string(seed);
       std::filesystem::remove_all(file_cfg.wal_dir);

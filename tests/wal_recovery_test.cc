@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "wal/wal.h"
@@ -21,6 +22,12 @@
 
 namespace tdr::wal {
 namespace {
+
+// ctest runs a binary's per-test entries and its label-aggregate entry
+// concurrently; a per-process prefix keeps their WAL directories apart.
+std::string PrivateTempDir() {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_";
+}
 
 /// Writes `count` records (one flush each, all synced) into node 0's
 /// log and returns the byte offset of each record boundary in the
@@ -329,7 +336,7 @@ TEST(WalRecoveryTest, TornTailInTheLastSegmentKeepsEarlierSegments) {
 }
 
 TEST(WalRecoveryTest, FileBackendRecoversTheSameLog) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_recovery_test";
+  const std::string dir = PrivateTempDir() + "tdr_wal_recovery_test";
   std::filesystem::remove_all(dir);
   {
     FileWalBackend writer_backend(dir, 1);

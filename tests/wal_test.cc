@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,12 @@
 
 namespace tdr::wal {
 namespace {
+
+// ctest runs a binary's per-test entries and its label-aggregate entry
+// concurrently; a per-process prefix keeps their WAL directories apart.
+std::string PrivateTempDir() {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_";
+}
 
 TEST(Crc32cTest, StandardCheckValue) {
   // The canonical CRC-32C check value over the ASCII digits.
@@ -395,7 +402,7 @@ TEST(MemWalBackendTest, AppendSyncReadTruncate) {
 }
 
 TEST(FileWalBackendTest, AppendSyncReadTruncate) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_backend_test";
+  const std::string dir = PrivateTempDir() + "tdr_wal_backend_test";
   std::filesystem::remove_all(dir);
   BackendRoundtrip([&dir] {
     return std::make_unique<FileWalBackend>(dir, /*num_nodes=*/2);
@@ -403,7 +410,7 @@ TEST(FileWalBackendTest, AppendSyncReadTruncate) {
 }
 
 TEST(FileWalBackendTest, SegmentsSurviveBackendTeardown) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_reopen_test";
+  const std::string dir = PrivateTempDir() + "tdr_wal_reopen_test";
   std::filesystem::remove_all(dir);
   {
     FileWalBackend backend(dir, 1);
@@ -426,7 +433,7 @@ TEST(FileWalBackendTest, SegmentsSurviveBackendTeardown) {
 // store and then discard the new cluster's entire durable log as a
 // torn tail (LSN 1 where the stale log's continuation was expected).
 TEST(WalSetTest, FreshWalSetOnAReusedDirStartsACleanLog) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_reused_dir_test";
+  const std::string dir = PrivateTempDir() + "tdr_wal_reused_dir_test";
   std::filesystem::remove_all(dir);
   {
     // A previous cluster's log: three durable records in segment 0.
