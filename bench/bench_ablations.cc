@@ -53,7 +53,7 @@ SimOutcome RunWith(SchemeKind kind, double zipf_theta, double delay_s,
     aopts.poisson = poisson;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster.sim(), aopts, rng.Fork(),
+        &cluster.runtime(), aopts, rng.Fork(),
         [&out, s = scheme.get(), &gen, origin, gen_rng]() {
           ++out.submitted;
           s->Submit(origin, gen.Next(*gen_rng), nullptr);
@@ -61,7 +61,7 @@ SimOutcome RunWith(SchemeKind kind, double zipf_theta, double delay_s,
     arrivals.back()->Start();
   }
   const double kWindow = 600;
-  cluster.sim().RunUntil(SimTime::Seconds(kWindow));
+  cluster.runtime().RunUntil(SimTime::Seconds(kWindow));
   for (auto& a : arrivals) a->Stop();
   out.seconds = kWindow;
   out.deadlocks = cluster.executor().deadlocked();
@@ -137,14 +137,14 @@ void Main() {
       aopts.tps = 8;
       auto gen_rng = std::make_shared<Rng>(rng.Fork());
       arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-          &cluster.sim(), aopts, rng.Fork(),
+          &cluster.runtime(), aopts, rng.Fork(),
           [&scheme, &gen, origin, gen_rng]() {
             scheme.Submit(origin, gen.Next(*gen_rng), nullptr);
           }));
       arrivals.back()->Start();
     }
     const double kWindow = 400;
-    cluster.sim().RunUntil(SimTime::Seconds(kWindow));
+    cluster.runtime().RunUntil(SimTime::Seconds(kWindow));
     for (auto& a : arrivals) a->Stop();
     struct R {
       double commit, aborts, timeouts;
@@ -203,20 +203,20 @@ void Main() {
       aopts.tps = 8;
       auto gen_rng = std::make_shared<Rng>(rng.Fork());
       arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-          &cluster.sim(), aopts, rng.Fork(),
+          &cluster.runtime(), aopts, rng.Fork(),
           [&scheme, &gen, origin, gen_rng]() {
             scheme.Submit(origin, gen.Next(*gen_rng), nullptr);
           }));
       arrivals.back()->Start();
     }
     const double kWindow = 600;
-    cluster.sim().RunUntil(SimTime::Seconds(kWindow));
+    cluster.runtime().RunUntil(SimTime::Seconds(kWindow));
     for (auto& a : arrivals) a->Stop();
     struct R {
       double deadlocks, waits;
       bool converged;
     };
-    cluster.sim().Run(10'000'000);
+    cluster.runtime().Run(10'000'000);
     return R{cluster.executor().deadlocked() / kWindow,
              cluster.metrics().Get("lock.waits") / kWindow,
              cluster.Converged()};

@@ -262,7 +262,7 @@ void BM_EndToEndEagerCluster(benchmark::State& state) {
       NodeId origin = static_cast<NodeId>(rng.UniformInt(3));
       scheme.Submit(origin, gen.Next(rng), nullptr);
     }
-    cluster.sim().Run();
+    cluster.runtime().Run();
     benchmark::DoNotOptimize(cluster.executor().committed());
   }
   state.SetItemsProcessed(state.iterations() * 50);

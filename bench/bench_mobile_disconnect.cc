@@ -49,7 +49,7 @@ MobileResult RunMobile(std::uint32_t nodes, double disconnect_seconds,
     aopts.tps = tps;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster.sim(), aopts, rng.Fork(),
+        &cluster.runtime(), aopts, rng.Fork(),
         [&scheme, &generator, origin, gen_rng]() {
           scheme.Submit(origin, generator.Next(*gen_rng), nullptr);
         }));
@@ -67,15 +67,15 @@ MobileResult RunMobile(std::uint32_t nodes, double disconnect_seconds,
     sopts.disconnected_time = SimTime::Seconds(disconnect_seconds);
     sopts.start_disconnected = true;
     schedules.push_back(std::make_unique<ConnectivitySchedule>(
-        &cluster.sim(), &cluster.net(), id, sopts, rng.Fork()));
+        &cluster.runtime(), &cluster.net(), id, sopts, rng.Fork()));
     ConnectivitySchedule* sched = schedules.back().get();
     double offset =
         disconnect_seconds * static_cast<double>(id) / nodes;
-    cluster.sim().ScheduleAt(SimTime::Seconds(offset),
-                             [sched]() { sched->Start(); });
+    cluster.runtime().ScheduleAt(SimTime::Seconds(offset),
+                                 [sched]() { sched->Start(); });
   }
 
-  cluster.sim().RunUntil(SimTime::Seconds(sim_seconds));
+  cluster.runtime().RunUntil(SimTime::Seconds(sim_seconds));
   for (auto& a : arrivals) a->Stop();
   for (auto& s : schedules) {
     cycles_total += s->cycles();
@@ -189,14 +189,14 @@ void Main() {
       aopts.tps = kTps;
       auto gen_rng = std::make_shared<Rng>(rng.Fork());
       arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-          &cluster.sim(), aopts, rng.Fork(),
+          &cluster.runtime(), aopts, rng.Fork(),
           [&scheme, &gen, origin, gen_rng]() {
             scheme.Submit(origin, gen.Next(*gen_rng), nullptr);
           }));
       arrivals.back()->Start();
     }
     double window = 60 * batch;
-    cluster.sim().RunUntil(SimTime::Seconds(window));
+    cluster.runtime().RunUntil(SimTime::Seconds(window));
     for (auto& a : arrivals) a->Stop();
     analytic::ModelParams p;
     p.db_size = kDb;

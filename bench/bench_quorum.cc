@@ -64,7 +64,7 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
     sopts.disconnected_time = SimTime::Seconds(disconnect_seconds);
     sopts.exponential = true;
     schedules.push_back(std::make_unique<ConnectivitySchedule>(
-        &cluster.sim(), &cluster.net(), id, sopts, rng.Fork()));
+        &cluster.runtime(), &cluster.net(), id, sopts, rng.Fork()));
     schedules.back()->Start();
   }
   // Increment workload from the three stable nodes.
@@ -74,7 +74,7 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
     aopts.tps = 5;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster.sim(), aopts, rng.Fork(),
+        &cluster.runtime(), aopts, rng.Fork(),
         [&result, s = scheme.get(), origin, gen_rng]() {
           ++result.submitted;
           ObjectId oid = gen_rng->UniformInt(64);
@@ -90,12 +90,12 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
         }));
     arrivals.back()->Start();
   }
-  cluster.sim().RunUntil(SimTime::Seconds(300));
+  cluster.runtime().RunUntil(SimTime::Seconds(300));
   for (auto& a : arrivals) a->Stop();
   for (auto& s : schedules) s->Stop();
   cluster.net().SetConnected(3, true);
   cluster.net().SetConnected(4, true);
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   // Total of all objects via quorum reads (or node 0 for plain eager).
   for (ObjectId oid = 0; oid < 64; ++oid) {

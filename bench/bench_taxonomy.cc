@@ -56,7 +56,7 @@ std::uint64_t MeasureTransactions(SchemeKind kind, std::uint32_t nodes) {
   // A single-object update: Table 1 counts transactions per object
   // update (multi-owner transactions add one slave txn per owner).
   scheme->Submit(0, Program({Op::Write(1, 10)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   // User transactions + replica-update transactions. Replica updates
   // are batched one-per-destination-node, each counted via the applier.
   std::uint64_t user = cluster.executor().committed();
@@ -135,9 +135,9 @@ void Main() {
   TwoTierSystem sys(topts);
   sys.SubmitTentative(2, Program({Op::Add(0, 1)}), AcceptAlways(), nullptr,
                       nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   sys.Connect(2);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   // Tentative txn + base txn + one slave-refresh txn per other replica.
   std::uint64_t two_tier_txns = sys.tentative_submitted() +
                                 sys.base_committed() +

@@ -66,7 +66,7 @@ TwoTierOutcome RunTwoTier(std::uint32_t num_mobile,
     aopts.tps = tps;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &sys.sim(), aopts, rng.Fork(),
+        &sys.cluster().runtime(), aopts, rng.Fork(),
         [&, mobile, gen_rng]() {
           bool commutes = gen_rng->Bernoulli(commutative_fraction);
           Program program;
@@ -108,15 +108,16 @@ TwoTierOutcome RunTwoTier(std::uint32_t num_mobile,
     sopts.disconnected_time = SimTime::Seconds(disconnect_seconds);
     sopts.start_disconnected = true;
     schedules.push_back(std::make_unique<ConnectivitySchedule>(
-        &sys.sim(), &sys.cluster().net(), mobile, sopts, rng.Fork()));
+        &sys.cluster().runtime(), &sys.cluster().net(), mobile, sopts,
+        rng.Fork()));
     ConnectivitySchedule* sched = schedules.back().get();
     double offset = disconnect_seconds * static_cast<double>(m) /
                     std::max(1u, num_mobile);
-    sys.sim().ScheduleAt(SimTime::Seconds(offset),
-                         [sched]() { sched->Start(); });
+    sys.cluster().runtime().ScheduleAt(SimTime::Seconds(offset),
+                                       [sched]() { sched->Start(); });
   }
 
-  sys.sim().RunUntil(SimTime::Seconds(sim_seconds));
+  sys.cluster().runtime().RunUntil(SimTime::Seconds(sim_seconds));
   for (auto& a : arrivals) a->Stop();
   for (auto& s : schedules) s->Stop();
   // Let in-flight drains and propagation settle so the convergence check
@@ -124,7 +125,7 @@ TwoTierOutcome RunTwoTier(std::uint32_t num_mobile,
   for (NodeId m = topts.num_base; m < topts.num_base + num_mobile; ++m) {
     sys.Connect(m);
   }
-  sys.sim().Run(2'000'000);
+  sys.cluster().runtime().Run(2'000'000);
 
   outcome.base_retries = sys.base_deadlock_retries();
   outcome.base_converged = sys.BaseTierConverged();
@@ -157,7 +158,7 @@ std::uint64_t LazyGroupDivergence(std::uint32_t nodes,
     aopts.tps = tps;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster.sim(), aopts, rng.Fork(), [&, id, gen_rng]() {
+        &cluster.runtime(), aopts, rng.Fork(), [&, id, gen_rng]() {
           scheme.Submit(id, gen.Next(*gen_rng), nullptr);
         }));
     arrivals.back()->Start();
@@ -168,18 +169,18 @@ std::uint64_t LazyGroupDivergence(std::uint32_t nodes,
       sopts.disconnected_time = SimTime::Seconds(disconnect_seconds);
       sopts.start_disconnected = true;
       schedules.push_back(std::make_unique<ConnectivitySchedule>(
-          &cluster.sim(), &cluster.net(), id, sopts, rng.Fork()));
+          &cluster.runtime(), &cluster.net(), id, sopts, rng.Fork()));
       ConnectivitySchedule* sched = schedules.back().get();
-      cluster.sim().ScheduleAt(
+      cluster.runtime().ScheduleAt(
           SimTime::Seconds(disconnect_seconds * id / nodes),
           [sched]() { sched->Start(); });
     }
   }
-  cluster.sim().RunUntil(SimTime::Seconds(sim_seconds));
+  cluster.runtime().RunUntil(SimTime::Seconds(sim_seconds));
   for (auto& a : arrivals) a->Stop();
   for (auto& s : schedules) s->Stop();
   for (NodeId id = 2; id < nodes; ++id) cluster.net().SetConnected(id, true);
-  cluster.sim().Run(2'000'000);
+  cluster.runtime().Run(2'000'000);
   return cluster.DivergentSlots();
 }
 

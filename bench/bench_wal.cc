@@ -89,16 +89,16 @@ ThroughputResult MeasureThroughput(DurabilityMode mode) {
     gen.NextInto(rng, &scratch);
     scheme.Submit(node, scratch, [&, node](const TxnResult& txn) {
       if (txn.outcome == TxnOutcome::kCommitted &&
-          cluster.sim().Now() >= warmup_end) {
+          cluster.runtime().Now() >= warmup_end) {
         ++result.committed;
       }
-      if (cluster.sim().Now() < measure_end) launch(node);
+      if (cluster.runtime().Now() < measure_end) launch(node);
     });
   };
   for (NodeId node = 0; node < kNodes; ++node) {
     for (int c = 0; c < kClientsPerNode; ++c) launch(node);
   }
-  cluster.sim().RunUntil(measure_end);
+  cluster.runtime().RunUntil(measure_end);
 
   result.committed_per_sec =
       static_cast<double>(result.committed) / kMeasureSeconds;

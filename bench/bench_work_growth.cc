@@ -36,7 +36,7 @@ Measured MeasureAt(std::uint32_t nodes) {
     scheme.Submit(0, Program({Op::Write(0, 1), Op::Write(1, 1),
                               Op::Write(2, 1), Op::Write(3, 1)}),
                   [&](const TxnResult& r) { result = r; });
-    cluster.sim().Run();
+    cluster.runtime().Run();
     m.eager_duration = result->Duration().seconds();
   }
   // (b) Lazy transactions per user update.
@@ -48,7 +48,7 @@ Measured MeasureAt(std::uint32_t nodes) {
     Cluster cluster(copts);
     LazyGroupScheme scheme(&cluster);
     scheme.Submit(0, Program({Op::Write(0, 1)}), nullptr);
-    cluster.sim().Run();
+    cluster.runtime().Run();
     // Root + one replica-update transaction per remote node.
     m.lazy_txns = 1.0 + static_cast<double>(
                             cluster.metrics().Get("net.delivered"));

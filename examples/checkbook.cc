@@ -33,7 +33,7 @@ void RunEager() {
   Cluster cluster(copts);
   EagerGroupScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(kAccount, 1000)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   cluster.net().SetConnected(2, false);  // spouse takes the checkbook out
   scheme.Submit(1, Program({Op::Subtract(kAccount, 1000)}),
@@ -42,7 +42,7 @@ void RunEager() {
                               std::string(TxnOutcomeToString(r.outcome))
                                   .c_str());
                 });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("eager can't update while a replica is away — safe but "
               "useless on the road.\n\n");
 }
@@ -55,7 +55,7 @@ void RunLazyGroup() {
   Cluster cluster(copts);
   LazyGroupScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(kAccount, 1000)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   // Both spouses disconnect and each writes checks for the full $1000.
   cluster.net().SetConnected(1, false);
@@ -63,13 +63,13 @@ void RunLazyGroup() {
   // You spend it all; your spouse spends $950 of it.
   scheme.Submit(1, Program({Op::Write(kAccount, 0)}), nullptr);
   scheme.Submit(2, Program({Op::Write(kAccount, 50)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("while disconnected, both books committed ~$1000 of checks "
               "against the same $1000.\n");
 
   cluster.net().SetConnected(1, true);
   cluster.net().SetConnected(2, true);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("after exchange: reconciliations needed = %llu, books "
               "agree = %s\n",
               (unsigned long long)scheme.reconciliations(),
@@ -95,7 +95,7 @@ void RunTwoTier() {
   TwoTierSystem sys(topts);
   const NodeId kYou = 1, kSpouse = 2;
   sys.SubmitBase(0, Program({Op::Write(kAccount, 1000)}), nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   auto check = [&](NodeId who, const char* name, std::int64_t amount) {
     sys.SubmitTentative(
@@ -113,14 +113,14 @@ void RunTwoTier() {
   check(kYou, "you", 400);
   check(kSpouse, "spouse", 700);
   check(kSpouse, "spouse", 300);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   std::printf("four tentative checks written offline, $2000 total against "
               "$1000.\n");
 
   sys.Connect(kYou);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   sys.Connect(kSpouse);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   std::printf("bank's final balance: $%lld (never negative, never "
               "deluded)\n",
               (long long)sys.cluster()

@@ -36,23 +36,23 @@ int main() {
   options.db_size = 8;
   options.action_time = SimTime::Millis(5);
   TwoTierSystem sys(options);
-  auto& sim = sys.sim();
+  runtime::Runtime& rt = sys.cluster().runtime();
 
   // Quota objects are mastered at the laptops.
   for (std::uint32_t m = 0; m < 3; ++m) {
     sys.SetMobileMaster(2 + m, 2 + m);
   }
   // 08:00 — headquarters stocks the shelves: 10 units.
-  sim.ScheduleAt(Hour(8), [&] {
+  rt.ScheduleAt(Hour(8), [&] {
     sys.SubmitBase(0, Program({Op::Write(kStock, 10)}), nullptr);
     std::printf("08:00  HQ stocks 10 units\n");
   });
   // 09:00 — everyone syncs in the office, then hits the road.
-  sim.ScheduleAt(Hour(9), [&] {
+  rt.ScheduleAt(Hour(9), [&] {
     for (NodeId m = 2; m < 5; ++m) sys.Connect(m);
     std::printf("09:00  laptops sync (stock=10 everywhere)\n");
   });
-  sim.ScheduleAt(Hour(9.5), [&] {
+  rt.ScheduleAt(Hour(9.5), [&] {
     for (NodeId m = 2; m < 5; ++m) sys.Disconnect(m);
     std::printf("09:30  laptops offline for the day\n");
   });
@@ -65,7 +65,7 @@ int main() {
   for (std::uint32_t m = 0; m < 3; ++m) {
     NodeId laptop = 2 + m;
     const char* name = kNames[m];
-    sim.ScheduleAt(Hour(11 + m), [&, laptop, name] {
+    rt.ScheduleAt(Hour(11 + m), [&, laptop, name] {
       std::printf("%02d:00  %s books 4 units (tentative) + quota "
                   "(local)\n",
                   11 + static_cast<int>(laptop) - 2, name);
@@ -86,7 +86,7 @@ int main() {
 
   // 14:00 — a walk-in customer at HQ buys 1 unit (base transaction,
   // connected operation keeps working all day).
-  sim.ScheduleAt(Hour(14), [&] {
+  rt.ScheduleAt(Hour(14), [&] {
     sys.SubmitBase(1, Program({Op::Subtract(kStock, 1),
                                Op::Append(kOrderLog, 999)}),
                    [](const TxnResult& r) {
@@ -100,14 +100,14 @@ int main() {
   // reprocessed in commit order, quota updates stream in as slave
   // refreshes.
   for (std::uint32_t m = 0; m < 3; ++m) {
-    sim.ScheduleAt(Hour(18 + 0.25 * m), [&, m] {
+    rt.ScheduleAt(Hour(18 + 0.25 * m), [&, m] {
       std::printf("%02d:%02d  %s reconnects\n", 18,
                   static_cast<int>(15 * m), kNames[m]);
       sys.Connect(2 + m);
     });
   }
 
-  sim.Run();
+  rt.Run();
 
   const ObjectStore& hq = sys.cluster().node(0)->store();
   std::printf("\n===== end of day =====\n");

@@ -45,11 +45,11 @@ int main() {
   sys.SubmitBase(0, Program({Op::Write(kWidgetPrice, 90),
                              Op::Write(kWidgetStock, 3)}),
                  nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   // The laptop syncs once in the office, then hits the road.
   sys.Connect(kLaptop);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   sys.Disconnect(kLaptop);
   std::printf("laptop synced: price=$%lld stock=%lld, now offline\n",
               (long long)sys.mobile(kLaptop)
@@ -79,17 +79,17 @@ int main() {
                       [](const FinalOutcome& o) {
                         Report("log order #7001:", o);
                       });
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   // Meanwhile HQ raises the price and another salesman drains stock.
   sys.SubmitBase(0, Program({Op::Write(kWidgetPrice, 120)}), nullptr);
   sys.SubmitBase(1, Program({Op::Subtract(kWidgetStock, 2)}), nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   std::printf("meanwhile at HQ: price -> $120, stock -> 1\n");
 
   std::printf("salesman reconnects; the bank-style clearing run says:\n");
   sys.Connect(kLaptop);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   const ObjectStore& hq = sys.cluster().node(0)->store();
   std::printf(

@@ -43,7 +43,7 @@ void Figure1SingleNode() {
   scheme.Submit(0, Program({Op::Write(0, 1), Op::Write(1, 2),
                             Op::Write(2, 3)}),
                 nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("%s", sink.ToString().c_str());
 }
 
@@ -57,7 +57,7 @@ void Figure1Eager() {
   scheme.Submit(0, Program({Op::Write(0, 1), Op::Write(1, 2),
                             Op::Write(2, 3)}),
                 nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("%s", sink.ToString().c_str());
 }
 
@@ -72,7 +72,7 @@ void Figure1Lazy() {
   scheme.Submit(0, Program({Op::Write(0, 1), Op::Write(1, 2),
                             Op::Write(2, 3)}),
                 nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("%s", sink.ToString().c_str());
 }
 
@@ -89,7 +89,7 @@ void Figure4Reconciliation() {
   // timestamp it saw — and each finds the other's commit in the way.
   scheme.Submit(0, Program({Op::Write(0, 100)}), nullptr);
   scheme.Submit(1, Program({Op::Write(0, 200)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   std::printf("%s", sink.ToString().c_str());
   std::printf("-> reconciliations detected: %llu (the books now "
               "disagree)\n",
@@ -110,11 +110,11 @@ void Figure5TwoTier() {
   sys.lazy_master().set_trace_sink(&sink);
   sys.SubmitTentative(2, Program({Op::Subtract(0, 50)}),
                       ScalarAtLeast(0, -1000), nullptr, nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   std::printf("(mobile node 2 executed the tentative transaction locally; "
               "nothing below ran yet)\n");
   sys.Connect(2);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   std::printf("%s", sink.ToString().c_str());
   std::printf("-> base state after reprocessing: %lld at base node 0\n",
               (long long)sys.cluster()

@@ -26,7 +26,7 @@ int main() {
   // Seed the account with $500 via an ordinary base transaction
   // (connected operation = plain lazy-master replication).
   sys.SubmitBase(0, Program({Op::Write(kAccount, 500)}), nullptr);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   // The laptop is offline but keeps working: withdraw $200, tentatively.
   // Acceptance criterion: the balance must never go negative.
@@ -48,7 +48,7 @@ int main() {
     std::printf("submit failed: %s\n", submitted.ToString().c_str());
     return 1;
   }
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   // Offline, the laptop already sees its own tentative value...
   std::printf("[laptop ] local (tentative) balance: $%lld\n",
@@ -67,7 +67,7 @@ int main() {
 
   // Reconnect: replica refresh + reprocessing happen automatically.
   sys.Connect(kLaptop);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   std::printf("[bank   ] master balance after reconnect: $%lld\n",
               (long long)sys.cluster()

@@ -34,7 +34,7 @@ TwoTierSystem::TwoTierSystem(Options options)
       ownership_(Ownership::RoundRobin(options.db_size,
                                        BaseNodeIds(options.num_base))),
       lazy_master_(&cluster_, &ownership_),
-      applier_(&cluster_.sim(), &cluster_.executor(),
+      applier_(&cluster_.runtime(), &cluster_.executor(),
                cluster_.metrics_or_null()) {
   assert(options_.num_base >= 1);
   for (NodeId id = options_.num_base;
@@ -105,17 +105,17 @@ void TwoTierSystem::ExecuteNextTentative(MobileNode* m) {
   SimTime duration =
       options_.action_time *
       static_cast<std::int64_t>(m->to_execute_.front().program.size());
-  sim().ScheduleAfter(duration, [this, m]() {
+  cluster_.runtime().ScheduleAfter(duration, [this, m]() {
     MobileNode::PendingTxn item = std::move(m->to_execute_.front());
     m->to_execute_.pop_front();
     // Apply the program to the tentative overlay, recording the result.
     TxnResult& res = item.tentative_result;
     res.origin = m->id();
     res.outcome = TxnOutcome::kCommitted;
-    res.start_time = sim().Now() - options_.action_time *
-                                       static_cast<std::int64_t>(
-                                           item.program.size());
-    res.end_time = sim().Now();
+    res.end_time = cluster_.runtime().Now();
+    res.start_time = res.end_time - options_.action_time *
+                                        static_cast<std::int64_t>(
+                                            item.program.size());
     std::map<ObjectId, Value> written;
     for (const Op& op : item.program.ops()) {
       auto cur = m->tentative_.Read(op.oid);
@@ -139,7 +139,7 @@ void TwoTierSystem::ExecuteNextTentative(MobileNode* m) {
       rec.new_value = value;
       rec.new_ts = res.commit_ts;
       rec.origin = m->id();
-      rec.commit_time = sim().Now();
+      rec.commit_time = res.end_time;
       res.updates.push_back(std::move(rec));
     }
     ++m->tentative_committed_;
@@ -212,7 +212,7 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
             // "If a base transaction deadlocks, it is resubmitted and
             // reprocessed until it succeeds" (§7).
             cluster_.metrics().Increment("twotier.base_deadlocks");
-            if (attempts + 1 > options_.max_base_retries) {
+            if (attempts + 1 > kMaxResubmits) {
               // Safety valve; with the paper's semantics this should be
               // unreachable in practice.
               MobileNode::PendingTxn item = std::move(m->pending_.front());
@@ -226,10 +226,9 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
               ReprocessFront(m, 0);
               return;
             }
-            sim().ScheduleAfter(options_.base_retry_backoff,
-                                [this, m, attempts]() {
-                                  ReprocessFront(m, attempts + 1);
-                                });
+            cluster_.runtime().ScheduleAfter(
+                kResubmitBackoff,
+                [this, m, attempts]() { ReprocessFront(m, attempts + 1); });
             return;
           }
           case TxnOutcome::kUnavailable:

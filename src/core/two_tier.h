@@ -96,7 +96,8 @@ class MobileNode {
 ///     their local tentative versions; on reconnect, each tentative
 ///     transaction is re-executed as a BASE transaction against master
 ///     copies in commit order, subject to its acceptance criterion.
-///     Deadlocked base transactions are resubmitted until they succeed;
+///     Deadlocked base transactions are resubmitted until they succeed
+///     (the ReplicaApplier's kResubmitBackoff / kMaxResubmits policy);
 ///     rejected ones are reported back to the mobile node with a
 ///     diagnostic.
 ///
@@ -115,9 +116,6 @@ class TwoTierSystem {
     SimTime action_time = SimTime::Millis(10);
     Network::Options net;
     std::uint64_t seed = 42;
-    /// Base transactions are retried on deadlock up to this many times.
-    int max_base_retries = 1000;
-    SimTime base_retry_backoff = SimTime::Millis(10);
   };
 
   explicit TwoTierSystem(Options options);
@@ -127,7 +125,6 @@ class TwoTierSystem {
 
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
-  sim::Simulator& sim() { return cluster_.sim(); }
   Ownership& ownership() { return ownership_; }
   const Ownership& ownership() const { return ownership_; }
   LazyMasterScheme& lazy_master() { return lazy_master_; }

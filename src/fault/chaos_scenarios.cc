@@ -186,7 +186,7 @@ ChaosOutcome RunChaosCluster(const ChaosConfig& cfg) {
       trace.OnFault(t, entry);
     });
   }
-  obs::TimeSeriesRecorder recorder(&cluster.sim(), &cluster.metrics());
+  obs::TimeSeriesRecorder recorder(&cluster.runtime(), &cluster.metrics());
   if (!cfg.report_path.empty()) {
     recorder.TrackRate("txn.committed");
     recorder.TrackRate("replica.applied");
@@ -210,10 +210,10 @@ ChaosOutcome RunChaosCluster(const ChaosConfig& cfg) {
   checker.Disarm();
   injector.Disarm();
   injector.HealAll();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   if (bundle.lazy_master != nullptr) bundle.lazy_master->CatchUpAll();
   if (bundle.quorum != nullptr) bundle.quorum->CatchUpAll();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   checker.CheckFinal();
 
   ChaosOutcome out;
@@ -267,7 +267,7 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
       trace.OnFault(t, entry);
     });
   }
-  obs::TimeSeriesRecorder recorder(&cluster.sim(), &cluster.metrics());
+  obs::TimeSeriesRecorder recorder(&cluster.runtime(), &cluster.metrics());
   if (!cfg.report_path.empty()) {
     recorder.TrackRate("txn.committed");
     recorder.TrackRate("replica.applied");
@@ -296,7 +296,7 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
     auto brng = std::make_shared<Rng>(rng.Fork());
     base_rngs.push_back(brng);
     base_series.push_back(
-        sys.sim().RepeatEvery(gap, [&sys, &gen, &out, b, brng]() {
+        cluster.runtime().RepeatEvery(gap, [&sys, &gen, &out, b, brng]() {
           Program p = gen.Next(*brng);
           if (sys.cluster().node(b)->crashed()) return;
           ++out.submitted;
@@ -313,12 +313,12 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
     auto mrng = std::make_shared<Rng>(rng.Fork());
     for (int c = 0; c < kCycles; ++c) {
       double t0 = c * cycle;
-      sys.sim().ScheduleAt(SimTime::Seconds(t0 + 0.02 * cycle),
-                           [&sys, m]() { sys.Disconnect(m); });
+      cluster.runtime().ScheduleAt(SimTime::Seconds(t0 + 0.02 * cycle),
+                                   [&sys, m]() { sys.Disconnect(m); });
       for (std::uint32_t k = 0; k < cfg.tentative_per_cycle; ++k) {
         double frac = 0.1 + 0.6 * (k + 1.0) /
                                 (cfg.tentative_per_cycle + 1.0);
-        sys.sim().ScheduleAt(
+        cluster.runtime().ScheduleAt(
             SimTime::Seconds(t0 + frac * cycle),
             [&sys, &gen, m, mrng]() {
               Program p = gen.Next(*mrng);
@@ -329,28 +329,28 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
               (void)s;
             });
       }
-      sys.sim().ScheduleAt(SimTime::Seconds(t0 + 0.85 * cycle),
-                           [&sys, m]() { sys.Connect(m); });
+      cluster.runtime().ScheduleAt(SimTime::Seconds(t0 + 0.85 * cycle),
+                                   [&sys, m]() { sys.Connect(m); });
     }
   }
 
-  sys.sim().RunUntil(SimTime::Seconds(cfg.seconds));
-  for (sim::EventId id : base_series) sys.sim().Cancel(id);
+  cluster.runtime().RunUntil(SimTime::Seconds(cfg.seconds));
+  for (sim::EventId id : base_series) cluster.runtime().Cancel(id);
   recorder.Stop();
 
   checker.Disarm();
   injector.Disarm();
   injector.HealAll();
-  sys.sim().Run();
+  cluster.runtime().Run();
   // Final drain: cycle each mobile so any reprocessing stalled by a
   // crashed host retries now that the world is healed.
   for (NodeId m : sys.MobileIds()) {
     sys.Disconnect(m);
     sys.Connect(m);
   }
-  sys.sim().Run();
+  cluster.runtime().Run();
   sys.lazy_master().CatchUpAll();
-  sys.sim().Run();
+  cluster.runtime().Run();
   checker.CheckFinal();
 
   out.committed = cluster.executor().committed();

@@ -7,7 +7,7 @@ namespace tdr {
 
 Network::Network(runtime::Runtime* rt, std::vector<Node*> nodes,
                  Options options, obs::MetricsRegistry* metrics)
-    : sim_(rt),
+    : rt_(rt),
       nodes_(std::move(nodes)),
       options_(options),
       outbox_(nodes_.size()),
@@ -84,7 +84,7 @@ void Network::Transmit(Handle h) {
   SimTime latency = options_.delay + options_.message_cpu * 2 + extra;
   // Delivery runs at the DESTINATION: tag the event so the thread
   // backend executes it on the receiving node's worker.
-  sim_->ScheduleAfterNode(to, latency, [this, h]() { Arrive(h); });
+  rt_->ScheduleAfterNode(to, latency, [this, h]() { Arrive(h); });
 }
 
 void Network::Arrive(Handle h) {
@@ -266,7 +266,7 @@ std::size_t Network::HeldCount() const {
 ConnectivitySchedule::ConnectivitySchedule(runtime::Runtime* rt,
                                            Network* network, NodeId node,
                                            Options options, Rng rng)
-    : sim_(rt),
+    : rt_(rt),
       network_(network),
       node_(node),
       options_(options),
@@ -294,7 +294,7 @@ ConnectivitySchedule::~ConnectivitySchedule() { Stop(); }
 void ConnectivitySchedule::Stop() {
   running_ = false;
   if (pending_ != sim::kInvalidEventId) {
-    sim_->Cancel(pending_);
+    rt_->Cancel(pending_);
     pending_ = sim::kInvalidEventId;
   }
 }
@@ -302,7 +302,7 @@ void ConnectivitySchedule::Stop() {
 void ConnectivitySchedule::EnterConnected() {
   if (!running_) return;
   SimTime up = PhaseLength(options_.time_between_disconnects);
-  pending_ = sim_->ScheduleAfter(up, [this]() {
+  pending_ = rt_->ScheduleAfter(up, [this]() {
     pending_ = sim::kInvalidEventId;
     if (!running_) return;
     if (options_.disconnected_time <= SimTime::Zero()) {
@@ -319,7 +319,7 @@ void ConnectivitySchedule::EnterConnected() {
 void ConnectivitySchedule::EnterDisconnected() {
   if (!running_) return;
   SimTime down = PhaseLength(options_.disconnected_time);
-  pending_ = sim_->ScheduleAfter(down, [this]() {
+  pending_ = rt_->ScheduleAfter(down, [this]() {
     pending_ = sim::kInvalidEventId;
     if (!running_) return;
     network_->SetConnected(node_, true);

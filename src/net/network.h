@@ -214,7 +214,7 @@ class Network {
     return static_cast<std::size_t>(a) * nodes_.size() + b;
   }
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   std::vector<Node*> nodes_;
   Options options_;
   // Cached metric handles (no-ops without a registry); Send/Transmit/
@@ -292,7 +292,7 @@ class ConnectivitySchedule {
   void EnterConnected();
   void EnterDisconnected();
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   Network* network_;
   NodeId node_;
   Options options_;

@@ -74,7 +74,7 @@ void TimeSeriesStats::Merge(const TimeSeriesStats& other) {
 TimeSeriesRecorder::TimeSeriesRecorder(runtime::Runtime* rt,
                                        MetricsRegistry* registry,
                                        Options options)
-    : sim_(rt), registry_(registry), options_(options) {}
+    : rt_(rt), registry_(registry), options_(options) {}
 
 TimeSeriesRecorder::~TimeSeriesRecorder() { Stop(); }
 
@@ -96,12 +96,12 @@ void TimeSeriesRecorder::Start() {
     c.last = registry_->Value(c.name);
   }
   series_id_ =
-      sim_->RepeatEvery(options_.interval, [this]() { SampleAll(); });
+      rt_->RepeatEvery(options_.interval, [this]() { SampleAll(); });
 }
 
 void TimeSeriesRecorder::Stop() {
   if (!running()) return;
-  sim_->Cancel(series_id_);
+  rt_->Cancel(series_id_);
   series_id_ = sim::kInvalidEventId;
 }
 

@@ -98,7 +98,7 @@ class TimeSeriesRecorder {
 
   void SampleAll();
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   MetricsRegistry* registry_;
   Options options_;
   std::vector<Channel> channels_;

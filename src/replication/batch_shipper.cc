@@ -8,7 +8,7 @@ BatchShipper::BatchShipper(runtime::Runtime* rt, Network* net,
                            std::uint32_t num_nodes, std::string_view stream,
                            obs::MetricsRegistry* metrics, Options options,
                            DeliverFn deliver)
-    : sim_(rt),
+    : rt_(rt),
       net_(net),
       num_nodes_(num_nodes),
       options_(options),
@@ -37,7 +37,7 @@ BatchShipper::BatchShipper(runtime::Runtime* rt, Network* net,
 
 BatchShipper::~BatchShipper() {
   for (Stream& s : streams_) {
-    if (s.flush_event != sim::kInvalidEventId) sim_->Cancel(s.flush_event);
+    if (s.flush_event != sim::kInvalidEventId) rt_->Cancel(s.flush_event);
   }
 }
 
@@ -55,11 +55,11 @@ void BatchShipper::Enqueue(NodeId origin, NodeId dest,
     s.builder.Add(records[i], options_.coalesce);
   }
   if (was_empty) {
-    s.opened = sim_->Now();
+    s.opened = rt_->Now();
     if (options_.flush_window > SimTime::Zero()) {
       // The flush reads the ORIGIN's stream state: tag it so the thread
       // backend runs it on the origin's worker.
-      s.flush_event = sim_->ScheduleAfterNode(
+      s.flush_event = rt_->ScheduleAfterNode(
           origin, options_.flush_window,
           [this, origin, dest] { Flush(origin, dest); });
     }
@@ -74,7 +74,7 @@ void BatchShipper::Flush(NodeId origin, NodeId dest) {
   Stream& s = StreamOf(origin, dest);
   if (s.flush_event != sim::kInvalidEventId) {
     // No-op when called from inside the window event itself.
-    sim_->Cancel(s.flush_event);
+    rt_->Cancel(s.flush_event);
     s.flush_event = sim::kInvalidEventId;
   }
   if (s.builder.empty()) return;
@@ -93,7 +93,7 @@ void BatchShipper::Flush(NodeId origin, NodeId dest) {
   m_coalesced_.Increment(batch->coalesced);
   m_batch_size_.Record(batch->size());
   m_flush_delay_us_.Record(
-      static_cast<std::uint64_t>((sim_->Now() - batch->opened).micros()));
+      static_cast<std::uint64_t>((rt_->Now() - batch->opened).micros()));
   net_->Send(origin, dest,
              [this, batch = std::move(batch)] { deliver_(*batch); });
 }

@@ -104,7 +104,7 @@ class BatchShipper {
     return streams_[static_cast<std::size_t>(origin) * num_nodes_ + dest];
   }
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   Network* net_;
   std::uint32_t num_nodes_;
   Options options_;

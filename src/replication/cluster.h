@@ -56,8 +56,8 @@ class Cluster {
     /// ProfileScope nor a ThreadRuntime worker reads the wall clock.
     /// Counts a run reports (WorkloadDriver::Outcome) come from their
     /// owners and do not change. metrics() still exists: the fault
-    /// layer, catch-up, retries and two-tier still write to it by name,
-    /// but nothing on the transaction path does. This is the baseline
+    /// layer, catch-up and two-tier still write to it by name, but
+    /// nothing on the transaction path does. This is the baseline
     /// bench_headline compares against to bound instrumentation overhead.
     bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
@@ -77,11 +77,12 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The virtual clock / event core. With the kThreads backend, do not
-  /// Run it directly — drive execution through runtime() so dispatch
-  /// happens; reading Now()/executed_events() is always fine.
-  sim::Simulator& sim() { return sim_; }
-  /// The execution backend every component schedules against.
+  /// Read-only view of the event core, for its counters
+  /// (executed_events(), clamped_schedules()). Schedule, run and read
+  /// the clock through runtime().
+  const sim::Simulator& sim() const { return sim_; }
+  /// The one clock and scheduler handle: every component, test and
+  /// bench schedules and runs through it. On kSim it is the simulator.
   runtime::Runtime& runtime() { return *rt_; }
   /// The thread backend, or null when backend == kSim.
   runtime::ThreadRuntime* thread_runtime() { return thread_rt_.get(); }

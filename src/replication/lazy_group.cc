@@ -121,7 +121,6 @@ void LazyGroupScheme::ApplyAt(Node* dest,
   ReplicaApplier::Options aopts;
   aopts.action_time = cluster_->options().action_time;
   aopts.mode = ReplicaApplier::Mode::kTimestampMatch;
-  aopts.retry_on_deadlock = options_.retry_replica_deadlocks;
   aopts.shards = &cluster_->shards();
   applier_.Apply(dest, records, aopts,
                  [this](const ReplicaApplier::Report& report) {

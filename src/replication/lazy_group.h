@@ -28,8 +28,6 @@ namespace tdr {
 class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
  public:
   struct Options {
-    /// Retry replica-update transactions that become deadlock victims.
-    bool retry_replica_deadlocks = true;
     /// If positive, committed updates are not shipped per transaction
     /// but accumulated in the node's out-log and flushed every
     /// `batch_interval` — how production async replication actually

@@ -28,7 +28,6 @@ namespace tdr {
 class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
  public:
   struct Options {
-    bool retry_replica_deadlocks = true;
     /// If true, a node catches up from the masters when it reconnects or
     /// a cut link to it heals (anti-entropy): any slave refresh lost to
     /// a crash or dropped message is repaired from the master copy.

@@ -14,7 +14,7 @@ void ReplicaApplier::Emit(TraceEventType type, const Job& job,
                           ObjectId oid, std::string detail) {
   if (trace_ == nullptr) return;
   TraceEvent event;
-  event.time = sim_->Now();
+  event.time = rt_->Now();
   event.type = type;
   event.txn = job.txn;
   event.node = job.node->id();
@@ -167,11 +167,11 @@ void ReplicaApplier::ScheduleApply(Job* job) {
     job->node->locks().Prefetch(job->records[job->idx + 1].oid);
   }
   const std::uint64_t serial = job->serial;
-  sim_->ScheduleAfterNode(job->node->id(), job->options.action_time,
-                          [this, job, serial]() {
-                            if (job->serial != serial) return;
-                            ApplyCurrent(job);
-                          });
+  rt_->ScheduleAfterNode(job->node->id(), job->options.action_time,
+                         [this, job, serial]() {
+                           if (job->serial != serial) return;
+                           ApplyCurrent(job);
+                         });
 }
 
 void ReplicaApplier::ApplyCurrent(Job* job) {
@@ -247,8 +247,7 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
   m_deadlocks_.Increment();
   job->node->locks().ReleaseAll(job->txn);
   ++job->report.deadlock_retries;
-  if (!job->options.retry_on_deadlock ||
-      job->report.deadlock_retries > job->options.max_retries) {
+  if (job->report.deadlock_retries > kMaxResubmits) {
     job->report.gave_up = true;
     m_gave_up_.Increment();
     FinishJob(job);
@@ -261,11 +260,11 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
   // double-count conflicts.
   job->txn = executor_->AllocateTxnId();
   const std::uint64_t serial = job->serial;
-  sim_->ScheduleAfterNode(
-      job->node->id(), job->options.retry_backoff, [this, job, serial]() {
-        if (job->serial != serial) return;
-        AcquireNext(job);
-      });
+  rt_->ScheduleAfterNode(job->node->id(), kResubmitBackoff,
+                         [this, job, serial]() {
+                           if (job->serial != serial) return;
+                           AcquireNext(job);
+                         });
 }
 
 void ReplicaApplier::FinishJob(Job* job) {

@@ -17,6 +17,14 @@
 
 namespace tdr {
 
+/// The §7 resubmit policy, shared by replica-update and two-tier base
+/// transactions: "if a base transaction deadlocks, it is resubmitted and
+/// reprocessed until it succeeds". A deadlock victim is resubmitted
+/// kResubmitBackoff after its abort; kMaxResubmits is a safety valve
+/// that the paper's semantics never reach in practice.
+inline constexpr SimTime kResubmitBackoff = SimTime::Millis(10);
+inline constexpr int kMaxResubmits = 1000;
+
 /// Applies a batch of replica updates at one node as a *replica update
 /// transaction* — the separate lazy transactions of Figure 1/Figure 4.
 ///
@@ -33,7 +41,7 @@ namespace tdr {
 ///
 /// Replica update transactions "can abort and restart without affecting
 /// the user" (§5); on deadlock the applier releases everything and
-/// retries after a short backoff, up to max_retries.
+/// resubmits after kResubmitBackoff, up to kMaxResubmits times.
 class ReplicaApplier {
  public:
   enum class Mode {
@@ -44,9 +52,6 @@ class ReplicaApplier {
   struct Options {
     SimTime action_time = SimTime::Millis(10);
     Mode mode = Mode::kTimestampMatch;
-    bool retry_on_deadlock = true;
-    int max_retries = 1000;
-    SimTime retry_backoff = SimTime::Millis(10);
     /// With a multi-shard map, a batch is partitioned by shard and each
     /// non-empty shard applies as its OWN replica transaction, in
     /// ascending shard order — atomic per shard. Lock footprints shrink
@@ -63,7 +68,7 @@ class ReplicaApplier {
     std::uint64_t stale = 0;         // kNewerWins: ignored stale updates
     std::uint64_t conflicts = 0;     // kTimestampMatch: reconciliations
     int deadlock_retries = 0;
-    bool gave_up = false;            // exceeded max_retries
+    bool gave_up = false;            // exceeded kMaxResubmits
   };
 
   using Done = std::function<void(const Report&)>;
@@ -72,7 +77,7 @@ class ReplicaApplier {
   /// global wait-for graph sound); `metrics` may be null.
   ReplicaApplier(runtime::Runtime* rt, Executor* executor,
                  obs::MetricsRegistry* metrics)
-      : sim_(rt), executor_(executor), metrics_(metrics) {
+      : rt_(rt), executor_(executor), metrics_(metrics) {
     if (metrics != nullptr) {
       m_waits_ = metrics->GetCounter("replica.waits");
       m_applied_ = metrics->GetCounter("replica.applied");
@@ -138,7 +143,7 @@ class ReplicaApplier {
             std::string detail = "");
   obs::MetricsRegistry::Counter& ShardAppliedCounter(ShardId shard);
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   Executor* executor_;
   obs::MetricsRegistry* metrics_;
   // Cached metric handles; no-ops when built without a registry.

@@ -25,7 +25,7 @@ std::string_view TxnOutcomeToString(TxnOutcome outcome) {
 
 Executor::Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
                    obs::MetricsRegistry* metrics)
-    : sim_(rt), nodes_(std::move(nodes)) {
+    : rt_(rt), nodes_(std::move(nodes)) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     assert(nodes_[i] != nullptr && nodes_[i]->id() == i);
   }
@@ -45,7 +45,7 @@ void Executor::Emit(TraceEventType type, const Inflight* t, NodeId node,
                     ObjectId oid, std::string detail) {
   if (trace_ == nullptr) return;
   TraceEvent event;
-  event.time = sim_->Now();
+  event.time = rt_->Now();
   event.type = type;
   event.txn = t->id;
   event.node = node;
@@ -177,7 +177,7 @@ TxnId Executor::Start(NodeId origin, Inflight* t, RunOptions opts,
   t->done = std::move(done);
   t->result.id = id;
   t->result.origin = origin;
-  t->result.start_time = sim_->Now();
+  t->result.start_time = rt_->Now();
   ++active_;
   m_started_.Increment();
   if (trace_ != nullptr) {
@@ -195,7 +195,7 @@ void Executor::StepAcquire(Inflight* t) {
     // placeholder commit timestamp) so the precommit hook — the
     // two-tier acceptance criterion — can inspect the final written
     // values as well as the reads.
-    t->result.end_time = sim_->Now();
+    t->result.end_time = rt_->Now();
     if (t->opts.record_updates) BuildUpdateRecords(t, Timestamp::Zero());
     if (t->opts.precommit && !t->opts.precommit(t->result)) {
       Abort(t, TxnOutcome::kRejected);
@@ -220,7 +220,7 @@ void Executor::StepAcquire(Inflight* t) {
         // anyway: TxnIds are never reused, so a recycled record makes a
         // stale grant a no-op.
         if (t->id != id) return;
-        SimTime waited = sim_->Now() - t->wait_started;
+        SimTime waited = rt_->Now() - t->wait_started;
         t->result.wait_time += waited;
         wait_hist_.Add(static_cast<std::uint64_t>(waited.micros()));
         m_wait_micros_.Record(static_cast<std::uint64_t>(waited.micros()));
@@ -237,14 +237,14 @@ void Executor::StepAcquire(Inflight* t) {
       return;
     case LockManager::AcquireOutcome::kQueued: {
       ++t->result.waits;
-      t->wait_started = sim_->Now();
+      t->wait_started = rt_->Now();
       ++lock_waits_;
       m_lock_waits_.Increment();
       Emit(TraceEventType::kLockWait, t, step.node, step.op.oid);
       if (t->opts.wait_timeout > SimTime::Zero()) {
         NodeId wait_node = step.node;
         ObjectId wait_oid = step.op.oid;
-        sim_->ScheduleAfterNode(
+        rt_->ScheduleAfterNode(
             wait_node, t->opts.wait_timeout,
             [this, t, id, wait_node, wait_oid]() {
               if (t->id != id) return;  // already finished
@@ -285,7 +285,7 @@ void Executor::StepExecute(Inflight* t) {
   TxnId id = t->id;
   // The step mutates step.node's store/locks: run it on that node's
   // worker under the thread backend.
-  sim_->ScheduleAfterNode(step.node, cost, [this, t, id]() {
+  rt_->ScheduleAfterNode(step.node, cost, [this, t, id]() {
     if (t->id != id) return;
     ApplyStep(t);
   });
@@ -398,7 +398,7 @@ void Executor::BuildUpdateRecords(Inflight* t, Timestamp commit_ts) {
     rec.new_ts = commit_ts;
     rec.new_value = e.value;
     rec.origin = e.node;
-    rec.commit_time = sim_->Now();
+    rec.commit_time = rt_->Now();
     t->result.updates.push_back(std::move(rec));
   }
 }
@@ -453,7 +453,7 @@ void Executor::Commit(Inflight* t) {
       node(nid)->locks().ReleaseAll(t->id);
     }
     t->result.outcome = TxnOutcome::kCommitted;
-    t->result.end_time = sim_->Now();
+    t->result.end_time = rt_->Now();
     ++committed_;
     m_committed_.Increment();
     if (trace_ != nullptr) {
@@ -487,7 +487,7 @@ void Executor::CompleteCommit(Inflight* t) {
   for (NodeId nid : t->touched_nodes) {
     node(nid)->locks().ReleaseAll(t->id);
   }
-  t->result.end_time = sim_->Now();
+  t->result.end_time = rt_->Now();
   Finish(t);
 }
 
@@ -506,7 +506,7 @@ void Executor::Abort(Inflight* t, TxnOutcome outcome) {
     node(nid)->locks().ReleaseAll(t->id);
   }
   t->result.outcome = outcome;
-  t->result.end_time = sim_->Now();
+  t->result.end_time = rt_->Now();
   if (outcome == TxnOutcome::kDeadlock) {
     ++deadlocked_;
   } else {

@@ -280,7 +280,7 @@ class Executor {
   void Emit(TraceEventType type, const Inflight* t, NodeId node,
             ObjectId oid, std::string detail = "");
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   std::vector<Node*> nodes_;
   // Metric handles, acquired once at construction: the hot path bumps
   // through them in O(1) with no allocation and no name lookup. All are

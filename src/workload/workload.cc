@@ -107,7 +107,7 @@ void ProgramGenerator::NextInto(Rng& rng, Program* out) {
 
 OpenLoopArrivals::OpenLoopArrivals(runtime::Runtime* rt, Options options,
                                    Rng rng, ArrivalCallback on_arrival)
-    : sim_(rt),
+    : rt_(rt),
       options_(options),
       rng_(rng),
       on_arrival_(std::move(on_arrival)) {
@@ -125,7 +125,7 @@ void OpenLoopArrivals::Start() {
 void OpenLoopArrivals::Stop() {
   running_ = false;
   if (pending_ != sim::kInvalidEventId) {
-    sim_->Cancel(pending_);
+    rt_->Cancel(pending_);
     pending_ = sim::kInvalidEventId;
   }
 }
@@ -134,7 +134,7 @@ void OpenLoopArrivals::ScheduleNext() {
   double gap_seconds = options_.poisson
                            ? rng_.Exponential(1.0 / options_.tps)
                            : 1.0 / options_.tps;
-  pending_ = sim_->ScheduleAfterNode(
+  pending_ = rt_->ScheduleAfterNode(
       options_.node_affinity, SimTime::Seconds(gap_seconds), [this]() {
         pending_ = sim::kInvalidEventId;
         if (!running_) return;

@@ -126,7 +126,7 @@ class OpenLoopArrivals {
  private:
   void ScheduleNext();
 
-  runtime::Runtime* sim_;
+  runtime::Runtime* rt_;
   Options options_;
   Rng rng_;
   ArrivalCallback on_arrival_;

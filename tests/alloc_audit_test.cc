@@ -98,7 +98,7 @@ void PumpTransactions(Cluster& cluster, ReplicationScheme* scheme,
       gen.NextInto(rng, &scratch);
       scheme->Submit(origin, scratch, nullptr);
     }
-    cluster.sim().RunUntil(cluster.sim().Now() + SimTime::Millis(20));
+    cluster.runtime().RunUntil(cluster.runtime().Now() + SimTime::Millis(20));
   }
 }
 
@@ -267,7 +267,7 @@ TEST(PooledMessageFaultTest, CrashRestartOutboxRecoveryKeepsInvariants) {
   cluster.net().Crash(0);
   PumpTransactions(cluster, &scheme, gen, rng, scratch, 5);
   cluster.net().Restart(0);
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   // The parked pooled payloads were delivered and applied.
   EXPECT_EQ(cluster.net().PendingAt(0), 0u);
@@ -309,7 +309,7 @@ TEST(PooledMessageFaultTest, PartitionParkAndRedeliverConverges) {
   cluster.net().SetLinkUp(1, 3, false);
   PumpTransactions(cluster, &scheme, gen, rng, scratch, 20);
   scheme.FlushAllBatches();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GT(cluster.net().HeldCount(), 0u);
 
   // Heal. Parked batches redeliver; the stream drains; replicas
@@ -317,7 +317,7 @@ TEST(PooledMessageFaultTest, PartitionParkAndRedeliverConverges) {
   cluster.net().SetLinkUp(0, 2, true);
   cluster.net().SetLinkUp(1, 3, true);
   scheme.FlushAllBatches();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.net().HeldCount(), 0u);
 
   checker.CheckNow();

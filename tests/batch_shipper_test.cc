@@ -78,13 +78,13 @@ class BatchShipperTest : public ::testing::Test {
 
 TEST_F(BatchShipperTest, WindowFlushShipsOneCoalescedBatch) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(50), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 1, {Rec(7, 1, 2, 20), Rec(8, 0, 3, 30)});
   EXPECT_EQ(shipper.PendingUpdates(), 2u);  // oid 7 coalesced
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0].origin, 0u);
   EXPECT_EQ(delivered_[0].dest, 1u);
@@ -100,41 +100,41 @@ TEST_F(BatchShipperTest, WindowFlushShipsOneCoalescedBatch) {
 
 TEST_F(BatchShipperTest, SizeCapFlushesImmediately) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Seconds(100), 2),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10), Rec(8, 0, 2, 20)});
-  cluster_->sim().Run();  // no 100s window wait: the cap already fired
+  cluster_->runtime().Run();  // no 100s window wait: the cap already fired
   ASSERT_EQ(delivered_.size(), 1u);
-  EXPECT_LT(cluster_->sim().Now(), SimTime::Seconds(1));
+  EXPECT_LT(cluster_->runtime().Now(), SimTime::Seconds(1));
 }
 
 TEST_F(BatchShipperTest, StreamsAreIndependentAndSequenced) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(10), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 2, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(1, 2, {Rec(9, 0, 2, 20)});
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_EQ(delivered_.size(), 3u);
   delivered_.clear();
   shipper.Enqueue(0, 1, {Rec(7, 1, 5, 50)});
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0].seq, 2u);  // per-stream sequence advanced
 }
 
 TEST_F(BatchShipperTest, FlushAllDrainsPendingStreams) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Seconds(100), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(2, 0, {Rec(8, 0, 2, 20)});
   shipper.FlushAll();
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(shipper.PendingUpdates(), 0u);
 }
@@ -144,7 +144,7 @@ TEST_F(BatchShipperTest, FlushAllDrainsPendingStreams) {
 // synchronously with its Enqueue.
 TEST_F(BatchShipperTest, ZeroWindowCapOneShipsEveryUpdateExactlyOnce) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 1),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
@@ -154,7 +154,7 @@ TEST_F(BatchShipperTest, ZeroWindowCapOneShipsEveryUpdateExactlyOnce) {
   // nothing waiting on a (nonexistent) window event.
   EXPECT_EQ(shipper.PendingUpdates(), 0u);
   EXPECT_EQ(shipper.batches_shipped(), 3u);
-  cluster_->sim().Run();  // delivery only; no further flushes
+  cluster_->runtime().Run();  // delivery only; no further flushes
   ASSERT_EQ(delivered_.size(), 3u);
   std::uint64_t total = 0;
   for (const UpdateBatch& b : delivered_) total += b.size();
@@ -175,14 +175,14 @@ TEST_F(BatchShipperTest, ZeroWindowCapOneShipsEveryUpdateExactlyOnce) {
 // a leftover.
 TEST_F(BatchShipperTest, CapOneMultiRecordEnqueueShipsOneBatch) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 1),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10), Rec(8, 0, 2, 20), Rec(9, 0, 3, 30)});
   EXPECT_EQ(shipper.batches_shipped(), 1u);
   EXPECT_EQ(shipper.updates_shipped(), 3u);
   EXPECT_EQ(shipper.PendingUpdates(), 0u);
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0].size(), 3u);
 }
@@ -192,17 +192,17 @@ TEST_F(BatchShipperTest, CapOneMultiRecordEnqueueShipsOneBatch) {
 // is idempotent.
 TEST_F(BatchShipperTest, ZeroWindowZeroCapParksUntilExplicitFlush) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 2, {Rec(8, 0, 2, 20)});
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_TRUE(delivered_.empty());  // no window, no cap, no shipping
   EXPECT_EQ(shipper.PendingUpdates(), 2u);
   shipper.FlushAll();
   shipper.FlushAll();  // second flush finds empty builders: no-op
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(shipper.batches_shipped(), 2u);
   EXPECT_EQ(shipper.updates_shipped(), 2u);
@@ -211,12 +211,12 @@ TEST_F(BatchShipperTest, ZeroWindowZeroCapParksUntilExplicitFlush) {
 
 TEST_F(BatchShipperTest, SelfAndEmptyEnqueuesAreIgnored) {
   BatchShipper shipper(
-      &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
+      &cluster_->runtime(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(10), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(1, 1, {Rec(7, 0, 1, 10)});  // self-send
   shipper.Enqueue(0, 1, {});                  // empty
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_TRUE(delivered_.empty());
   EXPECT_EQ(shipper.batches_shipped(), 0u);
 }
@@ -243,9 +243,9 @@ TEST(BatchedSchemeTest, LazyGroupBatchedConvergesToUnbatchedState) {
       q.Add(Op::Write(25 + i, 200 + i));
       scheme.Submit(1, q, nullptr);
     }
-    cluster.sim().Run();
+    cluster.runtime().Run();
     scheme.FlushAllBatches();
-    cluster.sim().Run();
+    cluster.runtime().Run();
     EXPECT_TRUE(cluster.Converged());
     EXPECT_EQ(scheme.reconciliations(), 0u);
     std::vector<std::int64_t> values;
@@ -276,9 +276,9 @@ TEST(BatchedSchemeTest, LazyMasterBatchedRefreshesSlaves) {
     p.Add(Op::Write(i, 100 + i));
     scheme.Submit(0, p, nullptr);
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   scheme.FlushAllBatches();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
   EXPECT_GT(scheme.slave_updates_applied(), 0u);
   EXPECT_GT(scheme.batch_shipper()->batches_shipped(), 0u);

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace tdr {
 namespace {
+
+// runtime() is the only handle that schedules; sim() is a read-only
+// view of the event core's counters.
+static_assert(std::is_same_v<decltype(std::declval<Cluster&>().sim()),
+                             const sim::Simulator&>);
 
 Cluster::Options ThreeNodes() {
   Cluster::Options o;
@@ -22,7 +29,7 @@ TEST(ClusterTest, ConstructionWiresNodes) {
     EXPECT_EQ(cluster.node(id)->store().size(), 8u);
     EXPECT_TRUE(cluster.node(id)->connected());
   }
-  EXPECT_EQ(cluster.sim().Now(), SimTime::Zero());
+  EXPECT_EQ(cluster.runtime().Now(), SimTime::Zero());
 }
 
 TEST(ClusterTest, FreshClusterIsConverged) {
@@ -84,7 +91,7 @@ TEST(ClusterTest, CountersSharedAcrossComponents) {
   EXPECT_EQ(cluster.metrics().Get("custom.metric"), 3u);
   // Network shares the registry.
   cluster.net().Send(0, 1, [] {});
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.metrics().Get("net.sent"), 1u);
   EXPECT_EQ(cluster.metrics().Get("net.delivered"), 1u);
 }
@@ -100,12 +107,12 @@ TEST(ClusterTest, DetectCyclesOffLeavesCyclesPending) {
   cluster.executor().Run(
       0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})), {},
       [&](const TxnResult&) { done1 = true; });
-  cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
+  cluster.runtime().ScheduleAt(SimTime::Millis(1), [&] {
     cluster.executor().Run(
         0, LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})), {},
         [&](const TxnResult&) { done2 = true; });
   });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_FALSE(done1);
   EXPECT_FALSE(done2);
   EXPECT_EQ(cluster.executor().ActiveCount(), 2u);

@@ -43,13 +43,13 @@ TEST(LinkFaultTest, CutLinkParksMessagesAndHealRedeliversInOrder) {
   net.Send(0, 1, [&]() { delivered.push_back(1); });
   net.Send(0, 1, [&]() { delivered.push_back(2); });
   net.Send(0, 2, [&]() { delivered.push_back(100); });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   // The cut link parked both messages; the healthy link delivered.
   EXPECT_EQ(net.HeldCount(), 2u);
   EXPECT_EQ(delivered, (std::vector<int>{100}));
 
   net.SetLinkUp(0, 1, true);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(net.HeldCount(), 0u);
   // Per-link FIFO order survives the outage.
   EXPECT_EQ(delivered, (std::vector<int>{100, 1, 2}));
@@ -68,14 +68,14 @@ TEST(LinkFaultTest, OnLinkRestoredFiresAfterHeldTrafficResumes) {
   });
   net.SetLinkUp(2, 3, false);
   net.Send(2, 3, [&]() { delivered = true; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_FALSE(delivered);
   net.SetLinkUp(2, 3, true);
   EXPECT_EQ(restored_calls, 1);
   // Healing an already-up link is a no-op: no duplicate callback.
   net.SetLinkUp(2, 3, true);
   EXPECT_EQ(restored_calls, 1);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(delivered);
 }
 
@@ -87,7 +87,7 @@ TEST(CrashTest, CrashDiscardsInboxAndDropsArrivals) {
   // Queue a message in node 1's inbox by disconnecting the receiver.
   net.SetConnected(1, false);
   net.Send(0, 1, [&]() { ++delivered; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(net.PendingAt(1), 1u);
 
   // Crash wipes the inbox (volatile receive buffers).
@@ -97,9 +97,9 @@ TEST(CrashTest, CrashDiscardsInboxAndDropsArrivals) {
 
   // Messages arriving while crashed are dropped, not queued.
   net.Send(0, 1, [&]() { ++delivered; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   net.Restart(1);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_FALSE(cluster.node(1)->crashed());
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(cluster.metrics().Get("net.crash_dropped"), 1u);
@@ -114,12 +114,12 @@ TEST(CrashTest, OutboxSurvivesCrashAndFlushesAtRestart) {
   bool delivered = false;
   net.SetConnected(0, false);
   net.Send(0, 2, [&]() { delivered = true; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_FALSE(delivered);
 
   net.Crash(0);
   net.Restart(0);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(cluster.metrics().Get("net.crashes"), 1u);
   EXPECT_EQ(cluster.metrics().Get("net.restarts"), 1u);
@@ -153,15 +153,15 @@ TEST(InterceptorTest, DropDuplicateAndDelayVerdictsApply) {
   int a = 0, b = 0, c = 0;
   net.Send(0, 1, [&]() { ++a; });  // dropped
   net.Send(0, 1, [&]() { ++b; });  // duplicated
-  SimTime t0 = cluster.sim().Now();
+  SimTime t0 = cluster.runtime().Now();
   net.Send(0, 1, [&]() { ++c; });  // delayed
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 2);
   EXPECT_EQ(c, 1);
   EXPECT_EQ(net.messages_dropped(), 1u);
   EXPECT_EQ(net.messages_duplicated(), 1u);
-  EXPECT_GE(cluster.sim().Now() - t0, SimTime::Millis(50));
+  EXPECT_GE(cluster.runtime().Now() - t0, SimTime::Millis(50));
   net.set_interceptor(nullptr);
 }
 
@@ -174,7 +174,7 @@ TEST(InterceptorTest, SelfSendsBypassTheInterceptor) {
   cluster.net().set_interceptor(&scripted);
   bool delivered = false;
   cluster.net().Send(2, 2, [&]() { delivered = true; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(scripted.next, 0u);  // never consulted
   cluster.net().set_interceptor(nullptr);
@@ -241,11 +241,11 @@ TEST(InjectorTest, ScheduledPlanAppliesAtItsTimes) {
   FaultInjector injector(&cluster, plan, Rng(7, 777));
   injector.Arm();
 
-  cluster.sim().RunUntil(SimTime::Seconds(1.5));
+  cluster.runtime().RunUntil(SimTime::Seconds(1.5));
   EXPECT_TRUE(cluster.node(2)->crashed());
-  cluster.sim().RunUntil(SimTime::Seconds(2.5));
+  cluster.runtime().RunUntil(SimTime::Seconds(2.5));
   EXPECT_FALSE(cluster.net().Reachable(0, 1));
-  cluster.sim().RunUntil(SimTime::Seconds(5));
+  cluster.runtime().RunUntil(SimTime::Seconds(5));
   EXPECT_FALSE(cluster.node(2)->crashed());
   EXPECT_TRUE(cluster.net().Reachable(0, 1));
   EXPECT_EQ(cluster.metrics().Get("fault.crashes"), 1u);
@@ -272,7 +272,7 @@ TEST(InjectorTest, ChaosDrawsAreDeterministicPerSeed) {
     for (int i = 0; i < 200; ++i) {
       cluster.net().Send(i % 4, (i + 1) % 4, [&]() { ++delivered; });
     }
-    cluster.sim().Run();
+    cluster.runtime().Run();
     return std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, int>(
         injector.injected_drops(), injector.injected_duplicates(),
         injector.injected_delays(), delivered);

@@ -44,7 +44,7 @@ TEST(IntegrationTest, LazyMasterLongRunConvergesUnderChurn) {
     aopts.tps = 5;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster.sim(), aopts, rng.Fork(), [&, origin, gen_rng]() {
+        &cluster.runtime(), aopts, rng.Fork(), [&, origin, gen_rng]() {
           Program p = gen.Next(*gen_rng);
           std::int64_t delta = 0;
           for (const Op& op : p.ops()) {
@@ -58,9 +58,9 @@ TEST(IntegrationTest, LazyMasterLongRunConvergesUnderChurn) {
         }));
     arrivals.back()->Start();
   }
-  cluster.sim().RunUntil(SimTime::Seconds(100));
+  cluster.runtime().RunUntil(SimTime::Seconds(100));
   for (auto& a : arrivals) a->Stop();
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   EXPECT_GT(cluster.executor().committed(), 1500u);
   EXPECT_TRUE(cluster.Converged());
@@ -105,7 +105,7 @@ TEST(IntegrationTest, LazyGroupMobileChurnShowsDelusionLazyMasterDoesNot) {
       sopts.time_between_disconnects = SimTime::Seconds(2);
       sopts.disconnected_time = SimTime::Seconds(5);
       schedules.push_back(std::make_unique<ConnectivitySchedule>(
-          &cluster->sim(), &cluster->net(), id, sopts, rng.Fork()));
+          &cluster->runtime(), &cluster->net(), id, sopts, rng.Fork()));
       schedules.back()->Start();
     }
     std::vector<std::unique_ptr<OpenLoopArrivals>> arrivals;
@@ -114,18 +114,18 @@ TEST(IntegrationTest, LazyGroupMobileChurnShowsDelusionLazyMasterDoesNot) {
       aopts.tps = 2;
       auto gen_rng = std::make_shared<Rng>(rng.Fork());
       arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-          &cluster->sim(), aopts, rng.Fork(),
+          &cluster->runtime(), aopts, rng.Fork(),
           [&arrivals, s = scheme.get(), &gen, origin, gen_rng]() {
             s->Submit(origin, gen.Next(*gen_rng), nullptr);
           }));
       arrivals.back()->Start();
     }
-    cluster->sim().RunUntil(SimTime::Seconds(60));
+    cluster->runtime().RunUntil(SimTime::Seconds(60));
     for (auto& a : arrivals) a->Stop();
     for (auto& s : schedules) s->Stop();
     cluster->net().SetConnected(1, true);
     cluster->net().SetConnected(2, true);
-    cluster->sim().Run();
+    cluster->runtime().Run();
     struct R {
       std::uint64_t divergent;
       std::uint64_t conflicts;
@@ -172,14 +172,15 @@ TEST(IntegrationTest, TwoTierManyMobilesLongChurn) {
     sopts.disconnected_time = SimTime::Seconds(10);
     sopts.start_disconnected = (m % 2 == 0);
     schedules.push_back(std::make_unique<ConnectivitySchedule>(
-        &sys.sim(), &sys.cluster().net(), mobile, sopts, rng.Fork()));
+        &sys.cluster().runtime(), &sys.cluster().net(), mobile, sopts,
+        rng.Fork()));
     schedules.back()->Start();
 
     OpenLoopArrivals::Options aopts;
     aopts.tps = 1;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &sys.sim(), aopts, rng.Fork(), [&, mobile, gen_rng]() {
+        &sys.cluster().runtime(), aopts, rng.Fork(), [&, mobile, gen_rng]() {
           ObjectId oid = gen_rng->UniformInt(64);
           std::int64_t delta = gen_rng->UniformRange(-20, 20);
           ++submitted;
@@ -193,13 +194,13 @@ TEST(IntegrationTest, TwoTierManyMobilesLongChurn) {
         }));
     arrivals.back()->Start();
   }
-  sys.sim().RunUntil(SimTime::Seconds(300));
+  sys.cluster().runtime().RunUntil(SimTime::Seconds(300));
   for (auto& a : arrivals) a->Stop();
   for (auto& s : schedules) s->Stop();
   // Final reconnect so every pending tentative transaction resolves and
   // every queued notice is delivered.
   for (NodeId m = 2; m < 6; ++m) sys.Connect(m);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
 
   EXPECT_GT(submitted, 800u);
   EXPECT_EQ(finals, submitted);
@@ -241,15 +242,15 @@ TEST(IntegrationTest, MessageDelayIncreasesLazyGroupConflicts) {
       aopts.tps = 4;
       auto gen_rng = std::make_shared<Rng>(rng.Fork());
       arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-          &cluster->sim(), aopts, rng.Fork(),
+          &cluster->runtime(), aopts, rng.Fork(),
           [&scheme, &gen, origin, gen_rng]() {
             scheme.Submit(origin, gen.Next(*gen_rng), nullptr);
           }));
       arrivals.back()->Start();
     }
-    cluster->sim().RunUntil(SimTime::Seconds(120));
+    cluster->runtime().RunUntil(SimTime::Seconds(120));
     for (auto& a : arrivals) a->Stop();
-    cluster->sim().Run();
+    cluster->runtime().Run();
     return scheme.reconciliations();
   };
   std::uint64_t fast = run(SimTime::Zero());

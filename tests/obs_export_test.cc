@@ -151,12 +151,12 @@ TEST(ChromeTraceWriterTest, RealLazyMasterRunStaysMonotone) {
   for (int i = 0; i < 30; ++i) {
     ObjectId oid = rng.UniformInt(copts.db_size);
     NodeId origin = static_cast<NodeId>(i % copts.num_nodes);
-    cluster.sim().ScheduleAt(
+    cluster.runtime().ScheduleAt(
         SimTime::Millis(10 * i), [&scheme, origin, oid, i]() {
           scheme.Submit(origin, Program({Op::Write(oid, i)}), nullptr);
         });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
 
   EXPECT_GT(trace.event_count(), 0u);
   Json doc = trace.ToJsonValue();

@@ -47,19 +47,19 @@ TEST(PartitionTest, QuorumMajoritySideStaysLive) {
                     }
                   });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(committed, 10);
   EXPECT_EQ(unavailable, 0);
   // The minority side cannot muster a write quorum (2 of 5 votes).
   std::optional<TxnResult> minority;
   scheme.Submit(3, Program({Op::Add(1, 1)}),
                 [&](const TxnResult& r) { minority = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(minority.has_value());
   EXPECT_EQ(minority->outcome, TxnOutcome::kUnavailable);
   // Heal: the link-restored hooks catch the minority up.
   injector.HealPartition("split");
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.node(3)->store().GetUnchecked(1).value.AsScalar(), 10);
   EXPECT_EQ(cluster.node(4)->store().GetUnchecked(1).value.AsScalar(), 10);
   EXPECT_TRUE(cluster.Converged());
@@ -79,14 +79,14 @@ TEST(PartitionTest, QuorumFlappingNeverLosesIncrements) {
     // A random one- or two-node group splits off each round.
     NodeId down1 = static_cast<NodeId>(rng.UniformInt(5));
     NodeId down2 = static_cast<NodeId>(rng.UniformInt(5));
-    cluster.sim().ScheduleAfter(SimTime::Millis(1), [&, down1, down2]() {
+    cluster.runtime().ScheduleAfter(SimTime::Millis(1), [&, down1, down2]() {
       if (partitioned) injector.HealPartition("flap");
       std::vector<NodeId> group = {down1};
       if (down2 != down1) group.push_back(down2);
       injector.StartPartition("flap", group);
       partitioned = true;
     });
-    cluster.sim().ScheduleAfter(SimTime::Millis(2), [&]() {
+    cluster.runtime().ScheduleAfter(SimTime::Millis(2), [&]() {
       for (int i = 0; i < 3; ++i) {
         NodeId origin = static_cast<NodeId>(rng.UniformInt(5));
         if (!scheme.WriteQuorumAvailableAt(origin)) continue;
@@ -101,10 +101,10 @@ TEST(PartitionTest, QuorumFlappingNeverLosesIncrements) {
                       });
       }
     });
-    cluster.sim().Run();
+    cluster.runtime().Run();
   }
   injector.HealAll();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   scheme.CatchUpAll();
   ASSERT_GT(committed, 30);
   EXPECT_TRUE(cluster.Converged());
@@ -125,7 +125,7 @@ TEST(PartitionTest, LazyMasterMinorityMastersBlockOnlyTheirObjects) {
                 [&](const TxnResult& r) { blocked = r; });
   scheme.Submit(0, Program({Op::Add(5, 1)}),  // owner 0, reachable
                 [&](const TxnResult& r) { fine = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(blocked->outcome, TxnOutcome::kUnavailable);
   EXPECT_EQ(fine->outcome, TxnOutcome::kCommitted);
   // The isolated master can still update its own objects (that is the
@@ -133,11 +133,11 @@ TEST(PartitionTest, LazyMasterMinorityMastersBlockOnlyTheirObjects) {
   std::optional<TxnResult> local;
   scheme.Submit(4, Program({Op::Add(4, 1)}),
                 [&](const TxnResult& r) { local = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(local->outcome, TxnOutcome::kCommitted);
   // Heal: the parked slave updates deliver and everyone converges.
   injector.HealAll();
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
 }
 
@@ -152,11 +152,11 @@ TEST(PartitionTest, LazyGroupSplitBrainWritesBothSides) {
   injector.StartPartition("split", {0, 1});
   scheme.Submit(0, Program({Op::Write(7, 100)}), nullptr);
   scheme.Submit(2, Program({Op::Write(7, 200)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   // Heal: the parked cross-split replica updates now deliver, and each
   // side's timestamp-match test fails against the other's write.
   injector.HealPartition("split");
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GE(scheme.reconciliations(), 1u);
   EXPECT_FALSE(cluster.Converged());
   // Both values survive somewhere — nobody's committed write was undone,
@@ -179,7 +179,7 @@ TEST(PartitionTest, EagerQuorumWriteSetExcludesUnreachableNodes) {
   std::optional<TxnResult> result;
   scheme.Submit(2, Program({Op::Write(9, 5)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_EQ(result->outcome, TxnOutcome::kCommitted);
   // The isolated node holds nothing; exactly three reachable members do
   // (write quorum = 3 of 5).
@@ -193,7 +193,7 @@ TEST(PartitionTest, EagerQuorumWriteSetExcludesUnreachableNodes) {
   EXPECT_EQ(holders, 3);
   // Heal: the rejoin catch-up refreshes the isolated replica.
   injector.HealPartition("iso");
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).value.AsScalar(), 5);
 }
 

@@ -97,7 +97,7 @@ TEST_P(SchemePropertyTest, CommittedIncrementsAreConserved) {
       delta += op.type == OpType::kAdd ? op.operand : -op.operand;
     }
     // Stagger submissions in time to create (some) concurrency.
-    cluster_->sim().ScheduleAt(
+    cluster_->runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(400))),
         [this, origin, program, delta, &committed_delta,
          &inflight_done]() {
@@ -111,7 +111,7 @@ TEST_P(SchemePropertyTest, CommittedIncrementsAreConserved) {
                           });
         });
   }
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   ASSERT_EQ(inflight_done, 60);
 
   // Lazy-group concurrent updates of the same object can conflict and
@@ -143,13 +143,13 @@ TEST_P(SchemePropertyTest, NoLockOrGraphLeaksAfterQuiescence) {
     NodeId origin =
         static_cast<NodeId>(rng.UniformInt(GetParam().nodes));
     Program program = gen.Next(rng);
-    cluster_->sim().ScheduleAt(
+    cluster_->runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(100))),
         [this, origin, program]() {
           scheme_->Submit(origin, program, nullptr);
         });
   }
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   for (NodeId n = 0; n < GetParam().nodes; ++n) {
     EXPECT_EQ(cluster_->node(n)->locks().LockedObjectCount(), 0u)
         << "node " << n;
@@ -171,7 +171,7 @@ TEST_P(SchemePropertyTest, EveryTransactionGetsExactlyOneOutcome) {
     NodeId origin =
         static_cast<NodeId>(rng.UniformInt(GetParam().nodes));
     Program program = gen.Next(rng);
-    cluster_->sim().ScheduleAt(
+    cluster_->runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(200))),
         [this, origin, program, &submitted, &committed, &deadlocked,
          &other]() {
@@ -190,7 +190,7 @@ TEST_P(SchemePropertyTest, EveryTransactionGetsExactlyOneOutcome) {
           });
         });
   }
-  cluster_->sim().Run();
+  cluster_->runtime().Run();
   EXPECT_EQ(submitted, 50u);
   EXPECT_EQ(committed + deadlocked + other, submitted);
   EXPECT_EQ(other, 0u);  // all nodes connected: nothing unavailable
@@ -210,13 +210,13 @@ TEST_P(SchemePropertyTest, DeterministicGivenSeed) {
       NodeId origin =
           static_cast<NodeId>(rng.UniformInt(GetParam().nodes));
       Program program = gen.Next(rng);
-      cluster_->sim().ScheduleAt(
+      cluster_->runtime().ScheduleAt(
           SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(150))),
           [this, origin, program]() {
             scheme_->Submit(origin, program, nullptr);
           });
     }
-    cluster_->sim().Run();
+    cluster_->runtime().Run();
     std::uint64_t digest = cluster_->executor().committed() * 1000003 +
                            cluster_->executor().deadlocked();
     for (NodeId n = 0; n < GetParam().nodes; ++n) {

@@ -32,7 +32,7 @@ TEST(QuorumTest, WriteCommitsAtQuorumOnly) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(3, 42)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   // Exactly write_quorum replicas carry the new value.
@@ -55,7 +55,7 @@ TEST(QuorumTest, SurvivesMinorityFailure) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(1, 7)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
 }
 
@@ -69,7 +69,7 @@ TEST(QuorumTest, UnavailableBelowQuorum) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(1, 7)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
   EXPECT_EQ(cluster.metrics().Get("scheme.unavailable"), 1u);
 }
@@ -81,9 +81,9 @@ TEST(QuorumTest, ReadLatestSeesEveryCommittedWrite) {
   Cluster cluster(FiveNodes());
   QuorumEagerScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(5, 10)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   scheme.Submit(4, Program({Op::Write(5, 20)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   auto latest = scheme.ReadLatest(5);
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest->value.AsScalar(), 20);
@@ -105,7 +105,7 @@ TEST(QuorumTest, RejoiningNodeCatchesUp) {
   QuorumEagerScheme scheme(&cluster);
   cluster.net().SetConnected(4, false);
   scheme.Submit(0, Program({Op::Write(2, 99), Op::Write(7, 11)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.node(4)->store().GetUnchecked(2).value.AsScalar(), 0);
   cluster.net().SetConnected(4, true);
   // Catch-up runs synchronously in the reconnect hook.
@@ -132,7 +132,7 @@ TEST(QuorumTest, WeightedVotesChangeQuorumArithmetic) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(1, 5)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   // But without the heavyweight node the four light nodes' 4 votes
   // cannot form the 5-vote write quorum.
@@ -170,7 +170,7 @@ TEST_P(QuorumPropertyTest, ConcurrentIncrementsConserved) {
   for (int i = 0; i < 25; ++i) {
     NodeId origin = static_cast<NodeId>(rng.UniformInt(param.nodes));
     ObjectId oid = rng.UniformInt(8);
-    cluster.sim().ScheduleAt(
+    cluster.runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(200))),
         [&scheme, &committed, origin, oid] {
           scheme.Submit(origin, Program({Op::Add(oid, 1)}),
@@ -181,7 +181,7 @@ TEST_P(QuorumPropertyTest, ConcurrentIncrementsConserved) {
                         });
         });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GT(committed, 0);
   std::int64_t total = 0;
   for (ObjectId oid = 0; oid < 8; ++oid) {
@@ -216,7 +216,7 @@ TEST(QuorumTest, ConcurrentWritersSerializeThroughOverlap) {
                     if (r.outcome == TxnOutcome::kCommitted) ++committed;
                   });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   auto latest = scheme.ReadLatest(9);
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest->value.AsScalar(), committed);

@@ -108,7 +108,7 @@ TEST(RepairTest, EndToEndLazyGroupDelusionRepaired) {
   LazyGroupScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(5, 100)}), nullptr);
   scheme.Submit(1, Program({Op::Write(5, 200)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_GE(scheme.reconciliations(), 1u);
   ASSERT_FALSE(cluster.Converged());
 
@@ -119,7 +119,7 @@ TEST(RepairTest, EndToEndLazyGroupDelusionRepaired) {
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).value.AsScalar(), 200);
   // And the system is usable again: a fresh update propagates cleanly.
   scheme.Submit(2, Program({Op::Write(5, 300)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(5).value.AsScalar(), 300);
 }

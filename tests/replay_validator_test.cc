@@ -67,7 +67,7 @@ TEST(ReplayValidatorTest, LiveLazyMasterExecutionIsSerializable) {
   for (int i = 0; i < 120; ++i) {
     NodeId origin = static_cast<NodeId>(rng.UniformInt(3));
     Program program = gen.Next(rng);
-    cluster.sim().ScheduleAt(
+    cluster.runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(800))),
         [&scheme, &validator, origin, program]() {
           scheme.Submit(origin, program,
@@ -78,7 +78,7 @@ TEST(ReplayValidatorTest, LiveLazyMasterExecutionIsSerializable) {
                         });
         });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_GT(validator.recorded(), 60u);
   // The master copies live at the owners: assemble the master view.
   ObjectStore master_view(24);
@@ -110,7 +110,7 @@ TEST(ReplayValidatorTest, EagerGroupExecutionIsSerializable) {
   for (int i = 0; i < 80; ++i) {
     NodeId origin = static_cast<NodeId>(rng.UniformInt(2));
     Program program = gen.Next(rng);
-    cluster.sim().ScheduleAt(
+    cluster.runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(500))),
         [&scheme, &validator, origin, program]() {
           scheme.Submit(origin, program,
@@ -121,7 +121,7 @@ TEST(ReplayValidatorTest, EagerGroupExecutionIsSerializable) {
                         });
         });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_GT(validator.recorded(), 20u);
   EXPECT_TRUE(validator.Matches(cluster.node(0)->store()));
   EXPECT_TRUE(validator.Matches(cluster.node(1)->store()));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "replication/cluster.h"
+#include "txn/trace.h"
 
 namespace tdr {
 namespace {
@@ -11,7 +12,7 @@ class ReplicaApplierTest : public ::testing::Test {
  protected:
   ReplicaApplierTest()
       : cluster_(MakeOptions()),
-        applier_(&cluster_.sim(), &cluster_.executor(),
+        applier_(&cluster_.runtime(), &cluster_.executor(),
                  cluster_.metrics_or_null()) {}
 
   static Cluster::Options MakeOptions() {
@@ -58,7 +59,7 @@ TEST_F(ReplicaApplierTest, AppliesMatchingUpdate) {
                                    Timestamp(5, 0))},
                  GroupOpts(),
                  [&](const ReplicaApplier::Report& r) { report = r; });
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->applied, 1u);
   EXPECT_EQ(report->conflicts, 0u);
@@ -74,7 +75,7 @@ TEST_F(ReplicaApplierTest, TimestampMismatchCountsReconciliation) {
                                    Timestamp(5, 0))},
                  GroupOpts(),
                  [&](const ReplicaApplier::Report& r) { report = r; });
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->applied, 0u);
   EXPECT_EQ(report->conflicts, 1u);
@@ -93,7 +94,7 @@ TEST_F(ReplicaApplierTest, NewerWinsAppliesAndIgnoresStale) {
   };
   applier_.Apply(dest, batch, MasterOpts(),
                  [&](const ReplicaApplier::Report& r) { report = r; });
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->applied, 1u);
   EXPECT_EQ(report->stale, 1u);
@@ -120,9 +121,9 @@ TEST_F(ReplicaApplierTest, ChargesActionTimePerUpdate) {
   };
   applier_.Apply(cluster_.node(1), batch, GroupOpts(),
                  [&](const ReplicaApplier::Report&) {
-                   finish = cluster_.sim().Now();
+                   finish = cluster_.runtime().Now();
                  });
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   EXPECT_EQ(finish, SimTime::Millis(30));
 }
 
@@ -136,15 +137,15 @@ TEST_F(ReplicaApplierTest, WaitsForUserTransactionLocks) {
                           nullptr);
   std::optional<ReplicaApplier::Report> report;
   SimTime finish;
-  cluster_.sim().ScheduleAt(SimTime::Millis(10), [&] {
+  cluster_.runtime().ScheduleAt(SimTime::Millis(10), [&] {
     applier_.Apply(dest,
                    {MakeRecord(0, 1, Timestamp::Zero(), Timestamp(1, 0))},
                    MasterOpts(), [&](const ReplicaApplier::Report& r) {
                      report = r;
-                     finish = cluster_.sim().Now();
+                     finish = cluster_.runtime().Now();
                    });
   });
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   ASSERT_TRUE(report.has_value());
   // User txn commits at 50ms; replica lock grant then 10ms action.
   EXPECT_EQ(finish, SimTime::Millis(60));
@@ -153,13 +154,64 @@ TEST_F(ReplicaApplierTest, WaitsForUserTransactionLocks) {
   EXPECT_EQ(report->applied + report->stale, 1u);
 }
 
+TEST_F(ReplicaApplierTest, DeadlockVictimResubmitsAtBlockedRecord) {
+  // Cross a user transaction with a replica job at node 1. The user
+  // locks object 1 (4 ms action) and then waits for object 0, which the
+  // replica job locked at t=0. At t=10 ms the job installs record 0 and
+  // requests object 1: the cycle makes the job the victim.
+  Node* dest = cluster_.node(1);
+  VectorTraceSink trace;
+  applier_.set_trace_sink(&trace);
+  Executor::RunOptions uopts;
+  uopts.action_time = SimTime::Millis(4);
+  uopts.lock_reads = true;
+  std::optional<TxnResult> user;
+  cluster_.executor().Run(1, LocalPlan(1, Program({Op::Read(1), Op::Read(0)})),
+                          uopts, [&](const TxnResult& r) { user = r; });
+  std::optional<ReplicaApplier::Report> report;
+  applier_.Apply(dest,
+                 {MakeRecord(0, 10, Timestamp::Zero(), Timestamp(5, 0)),
+                  MakeRecord(1, 11, Timestamp::Zero(), Timestamp(5, 0))},
+                 GroupOpts(),
+                 [&](const ReplicaApplier::Report& r) { report = r; });
+  cluster_.runtime().Run();
+
+  ASSERT_TRUE(user.has_value());
+  EXPECT_EQ(user->outcome, TxnOutcome::kCommitted);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->deadlock_retries, 1);
+  EXPECT_FALSE(report->gave_up);
+  EXPECT_EQ(applier_.deadlocks(), 1u);
+  // The resubmit resumes at the blocked record: record 0 is not applied
+  // again (a second apply would fail the timestamp match and count a
+  // conflict).
+  EXPECT_EQ(report->applied, 2u);
+  EXPECT_EQ(report->conflicts, 0u);
+  EXPECT_EQ(dest->store().GetUnchecked(0).value.AsScalar(), 10);
+  EXPECT_EQ(dest->store().GetUnchecked(1).value.AsScalar(), 11);
+  std::vector<TraceEvent> installs;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.type == TraceEventType::kReplicaApply) installs.push_back(e);
+  }
+  ASSERT_EQ(installs.size(), 2u);
+  EXPECT_EQ(installs[0].oid, 0u);
+  EXPECT_EQ(installs[1].oid, 1u);
+  // Aborted at 10 ms; the resubmit starts one backoff later and pays one
+  // action. Resubmitting at once would have queued behind the user
+  // (commit at 14 ms) and installed at 24 ms.
+  const SimTime abort_time = SimTime::Millis(10);
+  EXPECT_EQ(installs[0].time, abort_time);
+  EXPECT_EQ(installs[1].time,
+            abort_time + kResubmitBackoff + SimTime::Millis(10));
+}
+
 TEST_F(ReplicaApplierTest, ActiveCountTracksJobs) {
   EXPECT_EQ(applier_.ActiveCount(), 0u);
   applier_.Apply(cluster_.node(1),
                  {MakeRecord(0, 1, Timestamp::Zero(), Timestamp(1, 0))},
                  GroupOpts(), nullptr);
   EXPECT_EQ(applier_.ActiveCount(), 1u);
-  cluster_.sim().Run();
+  cluster_.runtime().Run();
   EXPECT_EQ(applier_.ActiveCount(), 0u);
 }
 

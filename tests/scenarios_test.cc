@@ -119,7 +119,7 @@ TEST(TpcbWorkloadTest, LazyMasterRunPreservesBankInvariant) {
   for (int i = 0; i < 150; ++i) {
     NodeId origin = static_cast<NodeId>(rng.UniformInt(3));
     Program p = bank.NextTransaction(rng, i);
-    cluster.sim().ScheduleAt(
+    cluster.runtime().ScheduleAt(
         SimTime::Millis(static_cast<std::int64_t>(rng.UniformInt(1000))),
         [&scheme, &committed, origin, p]() {
           scheme.Submit(origin, p, [&committed](const TxnResult& r) {
@@ -127,7 +127,7 @@ TEST(TpcbWorkloadTest, LazyMasterRunPreservesBankInvariant) {
           });
         });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GT(committed, 100u);
   EXPECT_TRUE(cluster.Converged());
   for (NodeId n = 0; n < 3; ++n) {
@@ -162,10 +162,10 @@ TEST(TpcbWorkloadTest, TwoTierMobileTellersPreserveInvariant) {
                                      })
                     .ok());
   }
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   sys.Connect(2);
   sys.Connect(3);
-  sys.sim().Run();
+  sys.cluster().runtime().Run();
   EXPECT_EQ(finals, 60);
   EXPECT_EQ(rejected, 0);
   EXPECT_TRUE(sys.BaseTierConverged());

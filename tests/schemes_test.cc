@@ -30,7 +30,7 @@ TEST(EagerGroupTest, UpdatesAllReplicasInOneTransaction) {
   std::optional<TxnResult> result;
   scheme.Submit(1, Program({Op::Write(5, 77), Op::Add(6, 3)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   for (NodeId n = 0; n < 3; ++n) {
@@ -58,7 +58,7 @@ TEST(EagerGroupTest, UnavailableWhenAnyNodeDisconnected) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(1, 1)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
   EXPECT_EQ(cluster.metrics().Get("scheme.unavailable"), 1u);
@@ -75,7 +75,7 @@ TEST(EagerGroupTest, QuorumVariantSkipsDisconnectedReplica) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(1, 9)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(1).value.AsScalar(), 9);
@@ -93,11 +93,11 @@ TEST(EagerGroupTest, CrossNodeConflictMayDeadlock) {
   std::optional<TxnResult> r1, r2;
   scheme.Submit(0, Program({Op::Write(1, 1), Op::Write(2, 1)}),
                 [&](const TxnResult& r) { r1 = r; });
-  cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
+  cluster.runtime().ScheduleAt(SimTime::Millis(1), [&] {
     scheme.Submit(1, Program({Op::Write(2, 2), Op::Write(1, 2)}),
                   [&](const TxnResult& r) { r2 = r; });
   });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(r1->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(r2->outcome, TxnOutcome::kDeadlock);
@@ -111,7 +111,7 @@ TEST(EagerGroupTest, ReadsStayLocal) {
   std::optional<TxnResult> result;
   scheme.Submit(2, Program({Op::Read(4)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   // One read action at one node only: 10ms.
   EXPECT_EQ(result->Duration(), SimTime::Millis(10));
@@ -131,7 +131,7 @@ TEST(EagerMasterTest, UpdatesFlowThroughOwnerToAllReplicas) {
   // Object 7 is owned by node 7 % 3 == 1.
   scheme.Submit(0, Program({Op::Write(7, 50)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   for (NodeId n = 0; n < 3; ++n) {
@@ -155,7 +155,7 @@ TEST(EagerMasterTest, SameObjectWritersSerializeWithoutDeadlock) {
                     ++committed;
                   });
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(committed, 3);
   // All three increments survive at every replica.
   for (NodeId n = 0; n < 3; ++n) {
@@ -174,7 +174,7 @@ TEST(EagerMasterTest, UnavailableWhenOwnerDisconnected) {
   // Object 7's owner (node 1) is down.
   scheme.Submit(0, Program({Op::Write(7, 1)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
 }
 
@@ -188,13 +188,13 @@ TEST(LazyGroupTest, RootCommitsLocallyThenReplicasConverge) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(3, 30)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().RunUntil(SimTime::Millis(10));
+  cluster.runtime().RunUntil(SimTime::Millis(10));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   // Lazy: the root transaction took Actions x Action_Time, not x Nodes.
   EXPECT_EQ(result->Duration(), SimTime::Millis(10));
   // Replicas catch up asynchronously.
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_EQ(scheme.replica_applied(), 2u);
@@ -217,7 +217,7 @@ TEST(LazyGroupTest, ConcurrentUpdatesNeedReconciliation) {
   LazyGroupScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(5, 100)}), nullptr);
   scheme.Submit(1, Program({Op::Write(5, 200)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GE(scheme.reconciliations(), 1u);
   EXPECT_EQ(cluster.metrics().Get("lazy_group.reconciliations"),
             scheme.reconciliations());
@@ -230,9 +230,9 @@ TEST(LazyGroupTest, SequentialUpdatesDoNotConflict) {
   Cluster cluster(SmallCluster(3));
   LazyGroupScheme scheme(&cluster);
   scheme.Submit(0, Program({Op::Write(5, 1)}), nullptr);
-  cluster.sim().Run();  // full propagation before the next update
+  cluster.runtime().Run();  // full propagation before the next update
   scheme.Submit(1, Program({Op::Write(5, 2)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(scheme.reconciliations(), 0u);
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).value.AsScalar(), 2);
@@ -246,10 +246,10 @@ TEST(LazyGroupTest, DisconnectedNodeQueuesAndConvergesOnReconnect) {
   // plane); node 0 updates a different object.
   scheme.Submit(1, Program({Op::Write(4, 44)}), nullptr);
   scheme.Submit(0, Program({Op::Write(9, 99)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_FALSE(cluster.Converged());
   cluster.net().SetConnected(1, true);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(4).value.AsScalar(), 44);
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).value.AsScalar(), 99);
@@ -264,9 +264,9 @@ TEST(LazyGroupTest, DisconnectedConflictDetectedAtReconnect) {
   cluster.net().SetConnected(1, false);
   scheme.Submit(1, Program({Op::Write(4, 11)}), nullptr);
   scheme.Submit(0, Program({Op::Write(4, 22)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   cluster.net().SetConnected(1, true);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GE(scheme.reconciliations(), 1u);
 }
 
@@ -276,13 +276,13 @@ TEST(LazyGroupBatchingTest, UpdatesShipOnlyAtFlush) {
   Cluster cluster(SmallCluster(3));
   LazyGroupScheme scheme(&cluster, opts);
   scheme.Submit(0, Program({Op::Write(3, 30)}), nullptr);
-  cluster.sim().RunUntil(SimTime::Seconds(5));
+  cluster.runtime().RunUntil(SimTime::Seconds(5));
   // Committed locally, parked in the out-log, not yet replicated.
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 0);
   EXPECT_EQ(cluster.node(0)->out_log().size(), 1u);
-  cluster.sim().RunUntil(SimTime::Seconds(11));
-  cluster.sim().RunUntil(SimTime::Seconds(12));
+  cluster.runtime().RunUntil(SimTime::Seconds(11));
+  cluster.runtime().RunUntil(SimTime::Seconds(12));
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_TRUE(cluster.node(0)->out_log().empty());
@@ -302,12 +302,12 @@ TEST(LazyGroupBatchingTest,
     auto cluster = std::make_unique<Cluster>(SmallCluster(2));
     LazyGroupScheme scheme(cluster.get(), opts);
     scheme.Submit(0, Program({Op::Write(5, 100)}), nullptr);
-    cluster->sim().ScheduleAt(SimTime::Seconds(1), [&] {
+    cluster->runtime().ScheduleAt(SimTime::Seconds(1), [&] {
       scheme.Submit(1, Program({Op::Write(5, 200)}), nullptr);
     });
-    cluster->sim().RunUntil(SimTime::Seconds(25));
+    cluster->runtime().RunUntil(SimTime::Seconds(25));
     scheme.FlushAllBatches();
-    cluster->sim().RunUntil(SimTime::Seconds(50));
+    cluster->runtime().RunUntil(SimTime::Seconds(50));
     return scheme.reconciliations();
   };
   EXPECT_EQ(run(SimTime::Zero()), 0u);
@@ -320,10 +320,10 @@ TEST(LazyGroupBatchingTest, FlushAllIsIdempotent) {
   Cluster cluster(SmallCluster(2));
   LazyGroupScheme scheme(&cluster, opts);
   scheme.Submit(0, Program({Op::Add(1, 5)}), nullptr);
-  cluster.sim().RunUntil(SimTime::Seconds(1));
+  cluster.runtime().RunUntil(SimTime::Seconds(1));
   scheme.FlushAllBatches();
   scheme.FlushAllBatches();  // nothing left; must not double-ship
-  cluster.sim().RunUntil(SimTime::Seconds(2));
+  cluster.runtime().RunUntil(SimTime::Seconds(2));
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).value.AsScalar(), 5);
   EXPECT_EQ(scheme.replica_applied(), 1u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
@@ -341,7 +341,7 @@ TEST(LazyMasterTest, MasterFirstThenSlavesConverge) {
   // Object 8's owner is node 2; transaction originates at node 0.
   scheme.Submit(0, Program({Op::Write(8, 80)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   ASSERT_EQ(result->updates.size(), 1u);
@@ -365,7 +365,7 @@ TEST(LazyMasterTest, NoReconciliationEverUnderContention) {
                     nullptr);
     }
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(cluster.metrics().Get("replica.conflicts"), 0u);
   EXPECT_TRUE(cluster.Converged());
   // Committed increments all survive (no lost updates at the master).
@@ -383,7 +383,7 @@ TEST(LazyMasterTest, UnavailableWhenMasterDisconnected) {
   std::optional<TxnResult> result;
   scheme.Submit(0, Program({Op::Write(7, 1)}),  // owner = node 1
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
   EXPECT_EQ(cluster.metrics().Get("scheme.unavailable"), 1u);
 }
@@ -398,7 +398,7 @@ TEST(LazyMasterTest, UnavailableWhenOriginDisconnected) {
   std::optional<TxnResult> result;
   scheme.Submit(1, Program({Op::Write(0, 1)}),
                 [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
 }
 
@@ -412,7 +412,7 @@ TEST(LazyMasterTest, SlavesConvergeDespiteRapidUpdates) {
   for (int i = 1; i <= 10; ++i) {
     scheme.Submit(i % 4, Program({Op::Write(3, i * 10)}), nullptr);
   }
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_TRUE(cluster.Converged());
   // Final value equals the master's value.
   auto final_value =

@@ -179,7 +179,7 @@ TEST(ShardedApplierTest, MultiShardBatchAppliesAtomicallyPerShard) {
     rec.origin = 0;
     records.push_back(rec);
   }
-  ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
+  ReplicaApplier applier(&cluster.runtime(), &cluster.executor(),
                          cluster.metrics_or_null());
   ReplicaApplier::Options aopts;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
@@ -192,7 +192,7 @@ TEST(ShardedApplierTest, MultiShardBatchAppliesAtomicallyPerShard) {
                   ++done_calls;
                   final_report = r;
                 });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(done_calls, 1);
   EXPECT_EQ(final_report.applied, 4u);
   EXPECT_FALSE(final_report.gave_up);

@@ -39,7 +39,7 @@ TEST(TraceTest, ExecutorEmitsLifecycleEvents) {
   cluster.executor().Run(0,
                          LocalPlan(0, Program({Op::Write(2, 5), Op::Read(2)})),
                          {}, nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   auto starts = sink.OfType(TraceEventType::kTxnStart);
   auto applies = sink.OfType(TraceEventType::kOpApply);
   auto commits = sink.OfType(TraceEventType::kTxnCommit);
@@ -60,11 +60,11 @@ TEST(TraceTest, WaitAndGrantTraced) {
   cluster.executor().set_trace_sink(&sink);
   cluster.executor().Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), {},
                          nullptr);
-  cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
+  cluster.runtime().ScheduleAt(SimTime::Millis(1), [&] {
     cluster.executor().Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), {},
                            nullptr);
   });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(sink.OfType(TraceEventType::kLockWait).size(), 1u);
   EXPECT_EQ(sink.OfType(TraceEventType::kLockGrant).size(), 1u);
 }
@@ -80,12 +80,12 @@ TEST(TraceTest, DeadlockAbortTraced) {
   cluster.executor().Run(
       0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})), {},
       nullptr);
-  cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
+  cluster.runtime().ScheduleAt(SimTime::Millis(1), [&] {
     cluster.executor().Run(
         0, LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})), {},
         nullptr);
   });
-  cluster.sim().Run();
+  cluster.runtime().Run();
   auto aborts = sink.OfType(TraceEventType::kTxnAbort);
   ASSERT_EQ(aborts.size(), 1u);
   EXPECT_EQ(aborts[0].detail, "deadlock");
@@ -101,7 +101,7 @@ TEST(TraceTest, ReplicaEventsTracedThroughLazyGroup) {
   LazyGroupScheme scheme(&cluster);
   scheme.set_trace_sink(&sink);
   scheme.Submit(0, Program({Op::Write(3, 9)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_EQ(sink.OfType(TraceEventType::kReplicaTxnStart).size(), 1u);
   EXPECT_EQ(sink.OfType(TraceEventType::kReplicaApply).size(), 1u);
   EXPECT_EQ(sink.OfType(TraceEventType::kReplicaTxnDone).size(), 1u);
@@ -118,7 +118,7 @@ TEST(TraceTest, ConflictTraced) {
   scheme.set_trace_sink(&sink);
   scheme.Submit(0, Program({Op::Write(3, 1)}), nullptr);
   scheme.Submit(1, Program({Op::Write(3, 2)}), nullptr);
-  cluster.sim().Run();
+  cluster.runtime().Run();
   EXPECT_GE(sink.OfType(TraceEventType::kReplicaConflict).size(), 1u);
 }
 

@@ -46,7 +46,7 @@ TEST_F(TwoTierTest, TentativeUpdateVisibleLocallyOnly) {
                       AcceptAlways(),
                       [&](const TxnResult& r) { tentative = r; }, nullptr)
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(tentative.has_value());
   EXPECT_EQ(tentative->outcome, TxnOutcome::kCommitted);
   // "If the mobile node queries this data it sees the tentative values."
@@ -68,9 +68,9 @@ TEST_F(TwoTierTest, ReconnectReprocessesAndConverges) {
                       AcceptAlways(), nullptr,
                       [&](const FinalOutcome& o) { final = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(final.has_value());
   EXPECT_TRUE(final->accepted);
   EXPECT_EQ(final->base_result.outcome, TxnOutcome::kCommitted);
@@ -98,7 +98,7 @@ TEST_F(TwoTierTest, CheckbookOverdraftRejectedNoSystemDelusion) {
   // transactions commit locally; at the bank, the first clears and the
   // second bounces — and the bank's books never go inconsistent.
   sys_.SubmitBase(0, Program({Op::Write(kAccount, 1000)}), nullptr);
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   auto withdraw = Program({Op::Subtract(kAccount, 600)});
   auto no_overdraft = ScalarAtLeast(kAccount, 0);
   std::optional<FinalOutcome> out_a, out_b;
@@ -112,7 +112,7 @@ TEST_F(TwoTierTest, CheckbookOverdraftRejectedNoSystemDelusion) {
                                    nullptr,
                                    [&](const FinalOutcome& o) { out_b = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   // The mobiles never connected after the deposit, so their best-known
   // master version is still $0 and the tentative balance reads -$600 —
   // exactly the "books inconsistent with the bank's books" situation.
@@ -120,9 +120,9 @@ TEST_F(TwoTierTest, CheckbookOverdraftRejectedNoSystemDelusion) {
             -600);
   // Reconnect A first, then B.
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileB());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(out_a.has_value());
   ASSERT_TRUE(out_b.has_value());
   EXPECT_TRUE(out_a->accepted);
@@ -160,10 +160,10 @@ TEST_F(TwoTierTest, CommutativeTransactionsNeverReconcile) {
                       .ok());
     }
   }
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
   sys_.Connect(MobileB());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(finals, 20);
   EXPECT_EQ(rejected, 0);
   EXPECT_EQ(
@@ -177,10 +177,10 @@ TEST_F(TwoTierTest, PriceQuoteRejectedWhenPriceRose) {
   // salesman's price quote must be reconciled with the customer."
   const ObjectId kPrice = 6;  // owned by base 0
   sys_.SubmitBase(0, Program({Op::Write(kPrice, 100)}), nullptr);
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   // Let the mobile learn price=100, then disconnect again.
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Disconnect(MobileA());
   ASSERT_EQ(sys_.cluster()
                 .node(MobileA())
@@ -196,12 +196,12 @@ TEST_F(TwoTierTest, PriceQuoteRejectedWhenPriceRose) {
                                    NoWorseThanTentative(kPrice), nullptr,
                                    [&](const FinalOutcome& o) { final = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   // Meanwhile headquarters raises the price.
   sys_.SubmitBase(0, Program({Op::Write(kPrice, 150)}), nullptr);
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(final.has_value());
   EXPECT_FALSE(final->accepted);
   EXPECT_NE(final->reason.find("exceeds tentative"), std::string::npos);
@@ -231,9 +231,9 @@ TEST_F(TwoTierTest, MobileMasteredObjectWithinScope) {
                                    AcceptAlways(), nullptr,
                                    [&](const FinalOutcome& o) { final = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(final.has_value());
   EXPECT_TRUE(final->accepted);
   // The master copy lives at the mobile; base replicas follow.
@@ -265,9 +265,9 @@ TEST_F(TwoTierTest, TentativeTransactionsReprocessInCommitOrder) {
                              })
             .ok());
   }
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(accept_order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(
       sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
@@ -276,14 +276,14 @@ TEST_F(TwoTierTest, TentativeTransactionsReprocessInCommitOrder) {
 
 TEST_F(TwoTierTest, TentativeWhileConnectedProcessesImmediately) {
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   std::optional<FinalOutcome> final;
   ASSERT_TRUE(sys_
                   .SubmitTentative(MobileA(), Program({Op::Add(kAccount, 7)}),
                                    AcceptAlways(), nullptr,
                                    [&](const FinalOutcome& o) { final = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(final.has_value());
   EXPECT_TRUE(final->accepted);
   EXPECT_EQ(
@@ -314,10 +314,10 @@ TEST_F(TwoTierTest, ConcurrentMobileDrainsStayConsistent) {
                         AcceptAlways(), nullptr, nullptr)
                     .ok());
   }
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
   sys_.Connect(MobileB());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(sys_.base_committed(), 10u);
   EXPECT_EQ(sys_.base_rejected(), 0u);
   EXPECT_TRUE(sys_.BaseTierConverged());
@@ -338,12 +338,49 @@ TEST_F(TwoTierTest, BaseTransactionsFromBaseNodesInterleave) {
                   .SubmitTentative(MobileA(), Program({Op::Add(kAccount, 10)}),
                                    AcceptAlways(), nullptr, nullptr)
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(
       sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
       14);
+  EXPECT_TRUE(sys_.BaseTierConverged());
+}
+
+TEST_F(TwoTierTest, DeadlockedBaseTransactionIsResubmittedUntilItCommits) {
+  // The base transaction locks kAccount then kOther at base 0; a
+  // connected-operation transaction submitted just before it locks them
+  // in the opposite order. The base transaction closes the cycle, is
+  // the victim, and is resubmitted (§7) until it commits.
+  constexpr ObjectId kOther = 6;  // owned by base 0
+  std::optional<FinalOutcome> final;
+  ASSERT_TRUE(sys_
+                  .SubmitTentative(
+                      MobileA(),
+                      Program({Op::Add(kAccount, 100), Op::Add(kOther, 1)}),
+                      AcceptAlways(), nullptr,
+                      [&](const FinalOutcome& o) { final = o; })
+                  .ok());
+  sys_.cluster().runtime().Run();
+  std::optional<TxnResult> crossing;
+  sys_.SubmitBase(0, Program({Op::Add(kOther, 10), Op::Add(kAccount, 1000)}),
+                  [&](const TxnResult& r) { crossing = r; });
+  sys_.Connect(MobileA());
+  sys_.cluster().runtime().Run();
+
+  ASSERT_TRUE(crossing.has_value());
+  EXPECT_EQ(crossing->outcome, TxnOutcome::kCommitted);
+  ASSERT_TRUE(final.has_value());
+  EXPECT_TRUE(final->accepted);
+  EXPECT_EQ(final->base_result.outcome, TxnOutcome::kCommitted);
+  EXPECT_GE(final->base_deadlock_retries, 1);
+  EXPECT_EQ(sys_.base_deadlock_retries(),
+            static_cast<std::uint64_t>(final->base_deadlock_retries));
+  EXPECT_EQ(sys_.base_committed(), 1u);
+  // Each transaction's increments landed exactly once.
+  const ObjectStore& base0 = sys_.cluster().node(0)->store();
+  EXPECT_EQ(base0.GetUnchecked(kAccount).value.AsScalar(), 1100);
+  EXPECT_EQ(base0.GetUnchecked(kOther).value.AsScalar(), 11);
   EXPECT_TRUE(sys_.BaseTierConverged());
 }
 
@@ -372,15 +409,15 @@ TEST_F(TwoTierTest, RejectionCascadesThroughDependentTentatives) {
                       IdenticalReads(), nullptr,
                       [&](const FinalOutcome& o) { f2 = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   // T2's tentative read saw T1's tentative write.
   EXPECT_EQ(sys_.mobile(MobileA()).Read(kAccount).value().value.AsScalar(),
             22);
   // The base changes the account while the mobile is away.
   sys_.SubmitBase(0, Program({Op::Write(kAccount, 500)}), nullptr);
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(f1 && f2);
   EXPECT_FALSE(f1->accepted);
   EXPECT_FALSE(f2->accepted);  // the cascade
@@ -408,9 +445,9 @@ TEST_F(TwoTierTest, NoInterferenceMeansDependentChainAccepted) {
                       IdenticalReads(), nullptr,
                       [&](const FinalOutcome& o) { f2 = o; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(f1 && f2);
   EXPECT_TRUE(f1->accepted);
   EXPECT_TRUE(f2->accepted);
@@ -429,7 +466,7 @@ TEST_F(TwoTierTest, LocalTransactionCommitsWhileDisconnected) {
                   .SubmitLocal(MobileA(), Program({Op::Add(8, 5)}),
                                [&](const TxnResult& r) { result = r; })
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   // Committed at the mobile master...
@@ -444,7 +481,7 @@ TEST_F(TwoTierTest, LocalTransactionCommitsWhileDisconnected) {
             0);
   // Reconnect flushes the queued slave refreshes.
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).value.AsScalar(),
             5);
   EXPECT_EQ(sys_.cluster().node(1)->store().GetUnchecked(8).value.AsScalar(),
@@ -469,7 +506,7 @@ TEST_F(TwoTierTest, LocalTransactionRefusesTentativeData) {
                   .SubmitTentative(MobileA(), Program({Op::Add(8, 1)}),
                                    AcceptAlways(), nullptr, nullptr)
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   ASSERT_TRUE(sys_.mobile(MobileA()).HasTentative(8));
   Status s = sys_.SubmitLocal(MobileA(), Program({Op::Add(8, 1)}), nullptr);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
@@ -481,14 +518,14 @@ TEST_F(TwoTierTest, DurabilityOnlyAtBaseCommit) {
                   .SubmitTentative(MobileA(), Program({Op::Add(kAccount, 50)}),
                                    AcceptAlways(), nullptr, nullptr)
                   .ok());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   // Simulate "losing" the tentative state before ever reconnecting: the
   // base tier shows nothing happened.
   EXPECT_EQ(
       sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
       0);
   sys_.Connect(MobileA());
-  sys_.sim().Run();
+  sys_.cluster().runtime().Run();
   EXPECT_EQ(
       sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
       50);
