@@ -5,16 +5,14 @@
 // thread backend costs: events dispatched across threads, wall-clock
 // per sim-second, worker utilization (profile section).
 //
-// E18 — epoch-dispatch batching. An 8-node eager-group lockstep
+// E18 — exclusive events inline. An 8-node eager-group lockstep
 // workload run through the thread backend, digest-checked against the
-// sim oracle per seed, reporting wall seconds and mailbox hand-offs per
-// dispatched event. Epoch dispatch wins by handing each chain of
-// same-node events to its worker in one push (a per-event dispatcher
-// pays exactly one hand-off per event), so the gate is on that ratio:
-// the binary FAILS if any cell's digests diverge or if any seed needs
-// more than 1/1.5 hand-offs per dispatched event. The ratio is a pure
-// function of the event schedule, so the gate does not depend on the
-// machine.
+// sim oracle per seed, reporting wall seconds and mailbox hand-offs.
+// The workload has no WAL, so every event is exclusive-class and runs
+// on the coordinator: the binary FAILS if any cell's digests diverge
+// or if any E18 threads run pushed a single task to a worker mailbox.
+// The push count is a pure function of the event schedule, so the
+// gate does not depend on the machine.
 //
 // The report rows carry the digests as hex strings;
 // tools/diff_digests.py re-checks the cross-backend equality from the
@@ -23,7 +21,6 @@
 // validates the property end-to-end through the artifact pipeline. A
 // mismatch also fails THIS binary (nonzero exit).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -75,10 +72,9 @@ SimConfig FaultedConfig(SchemeKind kind, std::uint64_t seed,
 // E18's workload: 8 nodes, eager-group, LOCKSTEP arrivals — with a
 // fixed 1/tps cadence every node submits at the same virtual instants,
 // and constant action/network delays keep the per-node pipelines
-// aligned, so the wave planner sees genuine width-8 epochs to run in
-// parallel (Poisson arrivals almost never share a timestamp, so waves
-// stay one event wide). Seeds live in their own range (101+) so
-// diff_digests.py groups E18 rows apart from E15's.
+// aligned, so many events share a timestamp. All of them are
+// exclusive, so none may reach a worker. Seeds live in their own range
+// (101+) so diff_digests.py groups E18 rows apart from E15's.
 constexpr std::uint64_t kBatchingSeeds[] = {101, 102, 103};
 
 SimConfig BatchingConfig(std::uint64_t seed) {
@@ -96,11 +92,6 @@ SimConfig BatchingConfig(std::uint64_t seed) {
   c.drain = true;
   return c;
 }
-
-/// E18's floor: epoch dispatch must batch at least this many
-/// dispatched events per mailbox hand-off on every seed, or the binary
-/// fails. A per-event dispatcher sits at exactly 1.
-constexpr double kBatchingGate = 1.5;
 
 obs::Json RuntimeRow(const SimConfig& config, const SimOutcome& out) {
   obs::Json row = ReportRow(config, out);
@@ -196,24 +187,25 @@ int Main() {
   std::printf(
       "\n%llu mismatches across %zu (scheme, seed) pairs x 2 backends.\n"
       "The thread backend executes the identical virtual-time event\n"
-      "order (epoch waves over per-node worker threads), so every digest\n"
-      "column above must match the sim oracle's bit for bit.\n",
+      "order (exclusive events inline, parallel groups on per-node\n"
+      "worker threads), so every digest column above must match the\n"
+      "sim oracle's bit for bit.\n",
       (unsigned long long)mismatches,
       std::size(kAll) * (std::size(kSeeds) + 2));
 
-  // E18: epoch-dispatch batching. Same oracle discipline as above —
+  // E18: exclusive events inline. Same oracle discipline as above —
   // every threads run must reproduce the sim digests — plus a gate on
-  // the mechanism that makes epoch dispatch cheap: chains of same-node
-  // events cross to a worker in one mailbox push.
-  PrintBanner("E18", "Epoch dispatch batching (8-node eager-group)",
-              "mailbox hand-offs per dispatched event; digests re-checked");
+  // the mechanism: an all-exclusive load never touches a mailbox.
+  PrintBanner("E18", "Exclusive events inline (8-node eager-group)",
+              "mailbox hand-offs on an all-exclusive load; digests "
+              "re-checked");
 
-  std::printf("%5s | %10s | %10s | %10s | %9s | %16s\n", "seed", "epoch s",
-              "dispatched", "hand-offs", "ratio", "state digest");
-  std::printf("------+------------+------------+------------+-----------+"
+  std::printf("%5s | %10s | %10s | %10s | %16s\n", "seed", "wall s",
+              "dispatched", "hand-offs", "state digest");
+  std::printf("------+------------+------------+------------+"
               "-----------------\n");
 
-  double worst_ratio = 0;
+  std::uint64_t handoffs = 0;
   for (std::uint64_t seed : kBatchingSeeds) {
     SimConfig oracle_cfg = BatchingConfig(seed);
     SimOutcome oracle = RunScheme(oracle_cfg);
@@ -228,32 +220,24 @@ int Main() {
                  out.shard_digests == oracle.shard_digests &&
                  out.committed == oracle.committed;
     if (!equal) ++mismatches;
-    const double ratio =
-        out.runtime_dispatched > 0
-            ? static_cast<double>(out.runtime_mailbox_pushed) /
-                  static_cast<double>(out.runtime_dispatched)
-            : 1.0;
-    worst_ratio = std::max(worst_ratio, ratio);
+    handoffs += out.runtime_mailbox_pushed;
     obs::Json row = RuntimeRow(cfg, out);
     row.Set("section", "epoch_batching");
     row.Set("runtime_mailbox_pushed", out.runtime_mailbox_pushed);
-    row.Set("handoffs_per_dispatch", ratio);
     // Wall-clock column: machine-dependent, reported for the E18
     // table, ignored by the regression checker.
     row.Set("runtime_wall_seconds", out.runtime_wall_seconds);
     report.AddRow(std::move(row));
-    std::printf("%5llu | %10.3f | %10llu | %10llu | %9.3f | %16s%s\n",
+    std::printf("%5llu | %10.3f | %10llu | %10llu | %16s%s\n",
                 (unsigned long long)seed, out.runtime_wall_seconds,
                 (unsigned long long)out.runtime_dispatched,
-                (unsigned long long)out.runtime_mailbox_pushed, ratio,
+                (unsigned long long)out.runtime_mailbox_pushed,
                 HexDigest(out.state_digest).c_str(),
                 equal ? "" : "  << MISMATCH");
   }
 
-  const double ratio_gate = 1.0 / kBatchingGate;
-  std::printf(
-      "\nworst hand-offs per dispatched event: %.3f (gate: <= %.3f)\n",
-      worst_ratio, ratio_gate);
+  std::printf("\nmailbox hand-offs across E18 threads runs: %llu (gate: 0)\n",
+              (unsigned long long)handoffs);
 
   WriteReport(report, "BENCH_runtime.json");
   if (mismatches > 0) {
@@ -261,11 +245,11 @@ int Main() {
                  (unsigned long long)mismatches);
     return EXIT_FAILURE;
   }
-  if (worst_ratio > ratio_gate) {
+  if (handoffs != 0) {
     std::fprintf(stderr,
-                 "FAIL: %.3f mailbox hand-offs per dispatched event, above "
-                 "%.3f\n",
-                 worst_ratio, ratio_gate);
+                 "FAIL: %llu mailbox hand-offs on an all-exclusive load, "
+                 "expected 0\n",
+                 (unsigned long long)handoffs);
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

@@ -248,8 +248,7 @@ proc::NodeReport ProcChildBody(proc::ProcessCoordinator::NodeContext& ctx) {
   hooks.on_built = [&](Cluster& cluster) {
     bridge.emplace(
         ctx.node(), ctx.num_nodes(), ctx.data(), &cluster.runtime(),
-        &cluster.sim(), proc::NetBridge::Options{},
-        [&ctx](const std::string& why) { ctx.Fail(why); });
+        &cluster.sim(), [&ctx](const std::string& why) { ctx.Fail(why); });
     cluster.net().set_delivery_hook(&*bridge);
   };
   hooks.before_digest = [&](Cluster& cluster) {

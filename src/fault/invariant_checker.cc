@@ -263,7 +263,7 @@ void InvariantChecker::CheckTwoTierLedger() {
 void InvariantChecker::Report(const char* invariant, std::string detail) {
   ++violations_total_;
   cluster_->metrics().Increment("invariant.violations");
-  if (violations_.size() >= options_.max_recorded) return;
+  if (violations_.size() >= kMaxRecorded) return;
   Violation v;
   v.invariant = invariant;
   v.detail = std::move(detail);

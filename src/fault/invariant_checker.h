@@ -93,9 +93,10 @@ class InvariantChecker {
     /// violations. On by default; tests that EXPECT violations must
     /// TakeViolations().
     bool abort_on_unchecked = true;
-    /// At most this many violations keep full detail (all are counted).
-    std::size_t max_recorded = 100;
   };
+
+  /// At most this many violations keep full detail (all are counted).
+  static constexpr std::size_t kMaxRecorded = 100;
 
   InvariantChecker(Cluster* cluster, Options options);
   ~InvariantChecker();

@@ -13,23 +13,20 @@ std::string UpdateBatch::ToString() const {
       (unsigned long long)coalesced, opened.ToString().c_str());
 }
 
-void UpdateBatchBuilder::Add(const UpdateRecord& rec, bool coalesce) {
-  if (coalesce) {
-    if (std::uint32_t* pos = index_.Find(rec.oid + 1)) {
-      // Chain compaction: keep the pending record's pre-image, adopt
-      // the newer post-image. The receiver applies one hop t0 -> tk in
-      // place of the k-hop chain.
-      UpdateRecord& pending = updates_[*pos];
-      pending.txn = rec.txn;
-      pending.new_ts = rec.new_ts;
-      pending.new_value = rec.new_value;
-      pending.commit_time = rec.commit_time;
-      ++coalesced_;
-      return;
-    }
-    index_.Insert(rec.oid + 1,
-                  static_cast<std::uint32_t>(updates_.size()));
+void UpdateBatchBuilder::Add(const UpdateRecord& rec) {
+  if (std::uint32_t* pos = index_.Find(rec.oid + 1)) {
+    // Chain compaction: keep the pending record's pre-image, adopt the
+    // newer post-image. The receiver applies one hop t0 -> tk in place
+    // of the k-hop chain.
+    UpdateRecord& pending = updates_[*pos];
+    pending.txn = rec.txn;
+    pending.new_ts = rec.new_ts;
+    pending.new_value = rec.new_value;
+    pending.commit_time = rec.commit_time;
+    ++coalesced_;
+    return;
   }
+  index_.Insert(rec.oid + 1, static_cast<std::uint32_t>(updates_.size()));
   updates_.push_back(rec);
 }
 

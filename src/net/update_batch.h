@@ -58,10 +58,10 @@ inline void PoolClear(UpdateBatch& batch) {
 /// when to flush and where the batch goes.
 class UpdateBatchBuilder {
  public:
-  /// Adds `rec` to the pending batch. With `coalesce`, an update to an
-  /// object already pending is folded into the existing record (chain
-  /// compaction as documented on UpdateBatch) instead of appended.
-  void Add(const UpdateRecord& rec, bool coalesce);
+  /// Adds `rec` to the pending batch. An update to an object already
+  /// pending is folded into the existing record (chain compaction as
+  /// documented on UpdateBatch) instead of appended.
+  void Add(const UpdateRecord& rec);
 
   std::size_t size() const { return updates_.size(); }
   bool empty() const { return updates_.empty(); }

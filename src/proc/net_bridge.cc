@@ -6,14 +6,13 @@ namespace tdr::proc {
 
 NetBridge::NetBridge(std::uint32_t owned, std::uint32_t num_nodes,
                      SocketTransport* transport, runtime::Runtime* rt,
-                     const sim::Simulator* sim, Options options,
+                     const sim::Simulator* sim,
                      std::function<void(const std::string&)> on_fatal)
     : owned_(owned),
       num_nodes_(num_nodes),
       transport_(transport),
       rt_(rt),
       sim_(sim),
-      options_(options),
       on_fatal_(std::move(on_fatal)),
       pair_seq_(static_cast<std::size_t>(num_nodes) * num_nodes, 0) {}
 
@@ -57,7 +56,7 @@ void NetBridge::OnDeliver(NodeId from, NodeId to, std::uint32_t copies) {
   // expectation. Frames per pair socket are FIFO, so the head frame
   // must BE this delivery — anything else is a desync.
   Frame got;
-  if (!transport_->WaitFrame(from, &got, options_.wait_timeout_ms)) {
+  if (!transport_->WaitFrame(from, &got, kWaitTimeoutMs)) {
     Fatal(StrPrintf("node %u: no frame from node %u for %s: %s", owned_,
                     from, expect.ToString().c_str(),
                     transport_->error().c_str()));

@@ -32,11 +32,9 @@ namespace tdr::proc {
 /// delivery that diverged, not as a digest mismatch 10^5 events later.
 class NetBridge : public Network::DeliveryHook {
  public:
-  struct Options {
-    /// How long a receive rendezvous may stall before the run is
-    /// declared wedged (a peer process died or desynced).
-    int wait_timeout_ms = 60000;
-  };
+  /// How long a receive rendezvous may stall before the run is
+  /// declared wedged (a peer process died or desynced).
+  static constexpr int kWaitTimeoutMs = 60000;
 
   /// `on_fatal` is invoked (with a diagnosis) on any verification or
   /// transport failure; it must not return (the child reports the
@@ -44,7 +42,7 @@ class NetBridge : public Network::DeliveryHook {
   /// executed-event fingerprint; `rt` the virtual clock.
   NetBridge(std::uint32_t owned, std::uint32_t num_nodes,
             SocketTransport* transport, runtime::Runtime* rt,
-            const sim::Simulator* sim, Options options,
+            const sim::Simulator* sim,
             std::function<void(const std::string&)> on_fatal);
 
   void OnDeliver(NodeId from, NodeId to, std::uint32_t copies) override;
@@ -65,7 +63,6 @@ class NetBridge : public Network::DeliveryHook {
   SocketTransport* transport_;
   runtime::Runtime* rt_;
   const sim::Simulator* sim_;
-  Options options_;
   std::function<void(const std::string&)> on_fatal_;
   std::vector<std::uint64_t> pair_seq_;  // num_nodes^2 delivery counters
   std::uint64_t shipped_ = 0;

@@ -52,7 +52,7 @@ void BatchShipper::Enqueue(NodeId origin, NodeId dest,
   Stream& s = StreamOf(origin, dest);
   bool was_empty = s.builder.empty();
   for (std::size_t i = 0; i < count; ++i) {
-    s.builder.Add(records[i], options_.coalesce);
+    s.builder.Add(records[i]);
   }
   if (was_empty) {
     s.opened = rt_->Now();

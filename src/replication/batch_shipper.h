@@ -46,8 +46,6 @@ class BatchShipper {
     /// Flush as soon as a stream holds this many updates (after
     /// compaction). Zero = unbounded, window-only flushing.
     std::size_t max_batch_updates = 128;
-    /// Per-object chain compaction within a window (see UpdateBatch).
-    bool coalesce = true;
   };
 
   /// Runs at the DESTINATION at delivery time.

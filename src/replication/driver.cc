@@ -83,9 +83,6 @@ WorkloadDriver::Outcome WorkloadDriver::Run() {
     OpenLoopArrivals::Options aopts;
     aopts.tps = options_.tps_per_node;
     aopts.poisson = options_.poisson_arrivals;
-    // On the thread backend each origin's arrivals (and the submission
-    // chain they start) execute on that origin's worker thread.
-    aopts.node_affinity = origin;
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     // Per-origin submission counter handles were resolved in the
     // constructor; bumping them is allocation-free on every arrival.

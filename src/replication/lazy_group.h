@@ -45,7 +45,7 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
     /// one-message-per-commit-per-destination shipping with one
     /// UpdateBatch per stream per window, applied atomically per shard
     /// at the destination. Takes precedence over batch_interval.
-    BatchShipper::Options batch{SimTime::Zero(), 0, true};
+    BatchShipper::Options batch{SimTime::Zero(), 0};
   };
 
   explicit LazyGroupScheme(Cluster* cluster)

@@ -39,7 +39,7 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
     /// slave refreshes park on its (master, dest) stream instead of
     /// shipping one message per commit, and the destination applies a
     /// batch atomically per shard, newer-wins.
-    BatchShipper::Options batch{SimTime::Zero(), 0, true};
+    BatchShipper::Options batch{SimTime::Zero(), 0};
   };
 
   LazyMasterScheme(Cluster* cluster, const Ownership* ownership)

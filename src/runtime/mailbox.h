@@ -8,29 +8,26 @@
 #include <vector>
 
 #include "sim/callback.h"
-#include "sim/event_id.h"
 #include "util/sim_time.h"
 
 namespace tdr::runtime {
 
-class EpochGate;
-
-/// How a scheduled event may execute relative to its epoch-mates.
-/// kExclusive events may touch shared cluster state (the executor, the
-/// message pool, metric cells, the event core), so the epoch planner
-/// serializes them in exact (time, seq) order. kParallel is a promise
-/// made at the call site: the callback touches only its node's private
-/// state, and any events it schedules are deferred and replayed in
-/// slot order — only then may same-timestamp events on distinct nodes
-/// genuinely overlap.
+/// How a scheduled event may execute relative to its same-timestamp
+/// neighbours. kExclusive events may touch shared cluster state (the
+/// executor, the message pool, metric cells, the event core), so the
+/// thread backend runs them one at a time on the coordinator, in exact
+/// (time, seq) order. kParallel is a promise made at the call site: the
+/// callback touches only its node's private state, and any events it
+/// schedules are deferred and replayed in slot order — only then may
+/// same-timestamp events on distinct nodes genuinely overlap.
 enum class ExecClass : std::uint8_t {
   kExclusive = 0,
   kParallel = 1,
 };
 
 /// A scheduling request a parallel-class task issued while its group
-/// was in flight. Replayed by the coordinator in plan-slot order at
-/// the group barrier, so sequence numbers come out exactly as the
+/// was in flight. Replayed by the coordinator in slot order once the
+/// group's gate opens, so sequence numbers come out exactly as the
 /// serial oracle would have assigned them.
 struct DeferredSchedule {
   std::uint32_t node = 0;
@@ -39,7 +36,8 @@ struct DeferredSchedule {
   sim::Callback fn;
 };
 
-/// One unit of work handed to a worker thread.
+/// One scheduled event's pooled wrapper. Exclusive tasks run on the
+/// coordinator; parallel-class tasks are handed to worker threads.
 ///
 /// Two ownership modes coexist:
 ///  * `fn` set — the callback is BORROWED: it lives in the scheduling
@@ -50,12 +48,10 @@ struct DeferredSchedule {
 ///    firing never chases a pointer into the event slab (whose slots
 ///    are recycled the moment the wrapper pops).
 ///
-/// The epoch fields below `weight` link tasks into per-worker chains
-/// (`run_next`), chains into baton sequences (`chain_next`), and hang
-/// the segment barrier plus the deferred-schedule buffer off the
-/// right places. They are owned by the coordinator's plan; mailbox
-/// mutexes provide the happens-before edges that publish them to
-/// workers.
+/// `run_next` links a parallel group's same-node tasks into one
+/// worker chain. The coordinator writes it before the push; mailbox
+/// mutexes provide the happens-before edges that publish it (and the
+/// task) to the worker.
 struct Task {
   Task() = default;
   /// Test convenience: a borrowed-callback task.
@@ -68,31 +64,20 @@ struct Task {
   /// length); a lone task weighs 1.
   std::uint32_t weight = 1;
   std::uint32_t node = 0xffffffffu;  // node affinity tag (kAnyNode)
+  /// kParallel: Schedule* calls from the callback are deferred into
+  /// `deferred` instead of touching the shared event core.
   ExecClass cls = ExecClass::kExclusive;
-  /// Set while the task executes inside a parallel group: Schedule*
-  /// calls from the callback are deferred into `deferred` instead of
-  /// touching the shared event core.
-  bool parallel_group = false;
-  /// Cancelled after collection (ThreadRuntime::Cancel found it in the
-  /// current plan): the executor skips the body but keeps the slot.
-  bool cancelled = false;
-  sim::EventId origin = sim::kInvalidEventId;  // wrapper's event id
-  /// This task's slot in the wave plan — the floor for Cancel's sweep
-  /// over not-yet-executed plan entries.
-  std::uint32_t plan_index = 0;
-  Task* run_next = nullptr;    // next task in this worker chain
-  Task* chain_next = nullptr;  // successor chain head (serial baton)
-  EpochGate* epoch_gate = nullptr;  // chain tail: arrive here when done
+  Task* run_next = nullptr;  // next task in this worker chain
   std::vector<DeferredSchedule> deferred;  // parallel tasks only
 };
 
-/// Counted completion barrier for epoch segments: the coordinator
-/// Reset(n)s it to the number of chains the segment hands out, workers
-/// Arrive() as each chain's tail finishes, and the coordinator Wait()s
-/// for zero — one round-trip per segment, not one per event. The
-/// mutex hand-off is also the happens-before edge that lets all of the
-/// cluster's single-threaded state (stores, lock tables, the event
-/// core itself) migrate between threads without atomics.
+/// Counted completion barrier for a parallel group: the coordinator
+/// Reset(n)s it to the number of chains the group hands out, workers
+/// Arrive() as each chain finishes, and the coordinator Wait()s for
+/// zero — one round-trip per group, not one per task. The mutex
+/// hand-off is also the happens-before edge that publishes each
+/// worker's node-private writes (its store, its WAL) back to the
+/// coordinator without atomics.
 class EpochGate {
  public:
   void Reset(std::size_t count) {
@@ -142,9 +127,9 @@ class StopBarrier {
 };
 
 /// MPSC mailbox: any thread may Push, one worker Pop()s. Mutex+condvar
-/// by design — the coordinator retires every segment behind a barrier,
-/// so a mailbox never holds more than one chain (its depth is bounded
-/// by the widest wave), and a lock-free queue would buy nothing (the
+/// by design — the coordinator retires every group behind a gate, so a
+/// mailbox never holds more than one chain (its depth is bounded by
+/// the widest group), and a lock-free queue would buy nothing (the
 /// stress suite still hammers the multi-producer path).
 ///
 /// Close() wakes the consumer; Pop() then drains whatever is queued

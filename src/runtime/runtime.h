@@ -13,8 +13,8 @@ namespace tdr::runtime {
 
 /// Node affinity wildcard: the event belongs to no particular node and
 /// may run wherever the backend finds convenient (the sim ignores
-/// affinity entirely; the thread backend runs kAnyNode events inline on
-/// the coordinator).
+/// affinity entirely; the thread backend runs a kAnyNode parallel-class
+/// event on the coordinator).
 inline constexpr std::uint32_t kAnyNode = 0xffffffffu;
 
 /// The execution surface shared by the deterministic simulator and the
@@ -26,13 +26,15 @@ inline constexpr std::uint32_t kAnyNode = 0xffffffffu;
 /// backends order events by the same virtual (time, seq) key, so a
 /// seeded scenario produces the same committed history and the same
 /// final store digests on either one; the thread backend additionally
-/// executes each node's events on that node's own OS thread (see
-/// runtime/thread_runtime.h for the dispatch protocol).
+/// runs same-timestamp parallel-class events on their nodes' own OS
+/// threads (see runtime/thread_runtime.h for the dispatch protocol).
 ///
 /// The `*Node` overloads tag an event with the node whose state it
-/// touches. Tags never affect ordering — they only tell the thread
-/// backend which worker runs the callback — so components may tag
-/// conservatively (or not at all) without changing any result.
+/// touches. Tags never affect ordering. On an exclusive event the tag
+/// has no effect on either backend: both run it on the calling thread.
+/// On a parallel-class event it names the worker that runs the
+/// callback. Components may tag conservatively (or not at all) without
+/// changing any result.
 class Runtime {
  public:
   virtual ~Runtime() = default;
@@ -69,8 +71,10 @@ class Runtime {
   virtual std::size_t PendingEvents() const = 0;
 
   /// Affinity-tagged variants: `node` is the node whose state `fn`
-  /// mutates. The base implementations drop the tag — exactly what the
-  /// single-threaded simulator wants.
+  /// mutates. The base implementations drop the tag. The thread
+  /// backend drops it too, because it runs every exclusive event on its
+  /// coordinator, so on these overloads the tag only documents which
+  /// node's state the callback touches.
   virtual sim::EventId ScheduleAtNode(std::uint32_t node, SimTime when,
                                       sim::Callback fn) {
     (void)node;
@@ -84,13 +88,13 @@ class Runtime {
 
   /// Parallel-class variants: the caller PROMISES that `fn` touches
   /// only node-private state — no executor, no message pool, no shared
-  /// metric cells, no reads of other nodes — so the thread backend's
-  /// epoch dispatcher may overlap it with same-timestamp parallel
-  /// events on other nodes. Restrictions on the callback under epoch
-  /// dispatch (enforced by convention, audited at the call sites):
+  /// metric cells, no reads of other nodes — so the thread backend may
+  /// overlap it with same-timestamp parallel events on other nodes.
+  /// Restrictions on the callback (enforced by convention, audited at
+  /// the call sites):
   ///
   ///  * It may call Schedule*/ScheduleParallel*; the request is
-  ///    deferred to the group barrier and replayed in deterministic
+  ///    deferred until the group retires and replayed in deterministic
   ///    order, and the call returns sim::kInvalidEventId — treat these
   ///    schedules as fire-and-forget.
   ///  * It must not Cancel, must not call Run*/Peek-style methods, and

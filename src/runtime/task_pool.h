@@ -28,10 +28,10 @@ namespace tdr::runtime {
 /// steady state — pool high-water below capacity — allocates nothing,
 /// which `runtime_task_pool_test` pins with the alloc-audit harness.
 ///
-/// Single-threaded by design: Acquire/Release happen on the
-/// coordinator, or on a worker while it holds the dispatch baton
-/// (exclusive tasks never overlap), so the mailbox hand-off mutexes
-/// already order every access.
+/// Single-threaded by design: only the coordinator calls Acquire and
+/// Release. Workers run parallel-class tasks, whose schedules are
+/// deferred, and the coordinator releases those tasks after the
+/// group's gate opens.
 class TaskPool {
  public:
   explicit TaskPool(std::size_t birth_capacity) { Grow(birth_capacity); }
@@ -55,7 +55,7 @@ class TaskPool {
   }
 
   /// Destroys the owned callback (running RAII releases of anything it
-  /// captured), clears the epoch fields, and free-lists the task. The
+  /// captured), clears the chain fields, and free-lists the task. The
   /// deferred buffer keeps its capacity, like every pooled buffer here.
   void Release(Task* t) {
     assert(in_use_ > 0 && "TaskPool::Release without matching Acquire");
@@ -64,12 +64,7 @@ class TaskPool {
     t->weight = 1;
     t->node = 0xffffffffu;
     t->cls = ExecClass::kExclusive;
-    t->parallel_group = false;
-    t->cancelled = false;
-    t->origin = sim::kInvalidEventId;
     t->run_next = nullptr;
-    t->chain_next = nullptr;
-    t->epoch_gate = nullptr;
     t->deferred.clear();
     t->next = free_;
     free_ = t;

@@ -76,11 +76,11 @@ ThreadRuntime::~ThreadRuntime() { Shutdown(); }
 sim::EventId ThreadRuntime::Schedule(std::uint32_t node, SimTime when,
                                      sim::Callback fn, ExecClass cls) {
   Task* cur = tls_current_task;
-  if (cur != nullptr && cur->parallel_group) {
-    // Called from inside an in-flight parallel group: the shared event
-    // core is off limits, so buffer the request on the calling task.
-    // The coordinator replays buffers in plan-slot order at the group
-    // barrier, which assigns exactly the sequence numbers the serial
+  if (cur != nullptr && cur->cls == ExecClass::kParallel) {
+    // Called from inside a parallel group: the shared event core is
+    // off limits, so buffer the request on the calling task. The
+    // coordinator replays buffers in slot order when it retires the
+    // group, which assigns exactly the sequence numbers the serial
     // oracle would have.
     DeferredSchedule d;
     d.node = node;
@@ -97,16 +97,15 @@ sim::EventId ThreadRuntime::Schedule(std::uint32_t node, SimTime when,
   t->owned = std::move(fn);
   t->node = node;
   t->cls = cls;
-  sim::EventId id =
-      clock_->ScheduleAt(when, [this, lease = TaskLease(pool_, t)]() mutable {
+  return clock_->ScheduleAt(
+      when, [this, lease = TaskLease(pool_, t)]() mutable {
         OnWrapperFire(lease.take());
       });
-  t->origin = id;
-  return id;
 }
 
 sim::EventId ThreadRuntime::RepeatEvery(SimTime interval, sim::Callback fn) {
-  assert(!(tls_current_task != nullptr && tls_current_task->parallel_group) &&
+  assert(!(tls_current_task != nullptr &&
+           tls_current_task->cls == ExecClass::kParallel) &&
          "RepeatEvery from a parallel-class task is unsupported");
   // The series' task holds the callback for its whole life and every
   // tick runs it borrowed (`fn` set): the wrapper's lease releases the
@@ -115,38 +114,29 @@ sim::EventId ThreadRuntime::RepeatEvery(SimTime interval, sim::Callback fn) {
   t->owned = std::move(fn);
   t->fn = &t->owned;
   t->node = kAnyNode;
-  sim::EventId id = clock_->RepeatEvery(
+  return clock_->RepeatEvery(
       interval, [this, lease = TaskLease(pool_, t)]() mutable {
         OnWrapperFire(lease.get());
       });
-  t->origin = id;
-  return id;
-}
-
-bool ThreadRuntime::Cancel(sim::EventId id) {
-  if (id == sim::kInvalidEventId) return false;
-  bool hit = clock_->Cancel(id);
-  // A same-timestamp cancel may target an event already collected into
-  // the executing wave (popped from the clock, not yet run): sweep the
-  // not-yet-executed plan suffix. Only exclusive tasks may Cancel, and
-  // they run in strict plan order, so plan_cursor_ is the exact floor.
-  Task* self = tls_current_task;
-  for (std::size_t k = plan_cursor_; k < plan_.size(); ++k) {
-    Task* t = plan_[k];
-    if (t == self || t->cancelled || t->origin != id) continue;
-    t->cancelled = true;
-    hit = true;
-    break;
-  }
-  return hit;
 }
 
 void ThreadRuntime::OnWrapperFire(Task* task) {
-  if (!collecting_) {
-    Fail("a runtime event fired outside wave collection: the underlying "
+  if (!stepping_) {
+    Fail("a runtime event fired outside Run/RunUntil: the underlying "
          "Simulator was run directly instead of through the runtime");
   }
-  plan_.push_back(task);
+  stepping_ = false;
+  if (task->cls == ExecClass::kParallel) {
+    group_.push_back(task);
+    return;
+  }
+  // Exclusive: the pending group fired earlier (lower seq), so it runs
+  // first; then this task runs right here, inside its wrapper, exactly
+  // where the bare simulator runs it.
+  RetireGroup();
+  ++inline_events_;
+  RunTaskBody(task);
+  if (task->fn == nullptr) pool_->Release(task);  // one-shot
 }
 
 void ThreadRuntime::RunTaskBody(Task* task) {
@@ -163,45 +153,6 @@ void ThreadRuntime::RunTaskBody(Task* task) {
   tls_current_task = prev;
 }
 
-void ThreadRuntime::RunChain(Task* head, Worker* worker) {
-  for (Task* t = head; t != nullptr;) {
-    Task* next = t->run_next;
-    if (t->cls == ExecClass::kExclusive && plan_cursor_ < t->plan_index) {
-      // Execution progress for Cancel's sweep; ordered by the baton.
-      plan_cursor_ = t->plan_index;
-    }
-    if (!t->cancelled) {
-      if (metrics_ == nullptr) {
-        RunTaskBody(t);
-      } else {
-        // Busy time feeds only PublishMetrics: no registry, no clock.
-        SteadyClock::time_point start = SteadyClock::now();
-        RunTaskBody(t);
-        worker->busy += SteadyClock::now() - start;
-      }
-    }
-    if (next == nullptr) {
-      // Chain tail. Read everything needed before signalling: once
-      // the gate fires the coordinator may recycle the task.
-      Task* succ = t->chain_next;
-      EpochGate* arrive = t->epoch_gate;
-      // Baton hand-off: push the successor chain straight to its
-      // worker — one wake per node switch, no coordinator round-trip.
-      if (succ != nullptr) Hand(succ);
-      if (arrive != nullptr) arrive->Arrive();
-    }
-    t = next;
-  }
-}
-
-void ThreadRuntime::Hand(Task* head) {
-  // Mailboxes close only in Shutdown(), after which every lane is the
-  // coordinator's, so no push can fail while a wave is running.
-  if (!workers_[head->node]->box.Push(head)) {
-    Fail("a worker mailbox closed while a wave was running");
-  }
-}
-
 std::uint32_t ThreadRuntime::LaneOf(const Task* task) const {
   if (stopped_ || task->node >= workers_.size()) return kCoord;
   return task->node;
@@ -211,141 +162,45 @@ std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
                                        std::uint64_t max_events,
                                        bool bounded_horizon) {
   std::uint64_t ran = 0;
-  SimTime next;
-  while (ran < max_events && clock_->PeekNextTime(&next) &&
-         (!bounded_horizon || next <= horizon)) {
-    // Collect one WAVE: every ready event at `next`. Firing wrappers
-    // append their tasks to the plan instead of dispatching. Events a
-    // wave schedules back at the same timestamp (zero-delay follow-ups)
-    // have higher seq and form the next wave — still same-T, exactly
-    // the serial order.
-    collecting_ = true;
-    plan_.clear();
-    const std::uint64_t budget = max_events - ran;
-    std::uint64_t steps = 0;
-    while (steps < budget) {
-      const std::size_t planned = plan_.size();
-      if (!clock_->Step()) break;
-      if (plan_.size() != planned + 1) {
-        // The step fired a callback that is not a runtime wrapper: an
-        // event scheduled directly on the underlying Simulator, which
-        // just ran mid-wave, ahead of lower-seq collected events.
-        Fail("an event scheduled directly on the underlying Simulator "
-             "ran during wave collection; schedule through the runtime");
-      }
-      ++steps;
-      SimTime t2;
-      if (!clock_->PeekNextTime(&t2) || t2 != next) break;
+  for (;;) {
+    SimTime next;
+    const bool more = ran < max_events && clock_->PeekNextTime(&next) &&
+                      (!bounded_horizon || next <= horizon);
+    if (!group_.empty() && (!more || next != clock_->Now())) {
+      // The group's timestamp is over (or the run is): retire it. Its
+      // deferred schedules may land before `next`, so look again.
+      RetireGroup();
+      continue;
     }
-    collecting_ = false;
-    ran += steps;
-    ExecuteWave();
-    ReleaseWave();
+    if (!more) break;
+    stepping_ = true;
+    clock_->Step();
+    if (stepping_) {
+      // The step fired a callback that is not a runtime wrapper: an
+      // event scheduled directly on the underlying Simulator.
+      Fail("an event scheduled directly on the underlying Simulator "
+           "ran; schedule through the runtime");
+    }
+    ++ran;
   }
   return ran;
 }
 
-void ThreadRuntime::ExecuteWave() {
-  const std::size_t n = plan_.size();
+void ThreadRuntime::RetireGroup() {
+  const std::size_t n = group_.size();
   if (n == 0) return;
   ++epochs_;
   if (n > epoch_width_max_) epoch_width_max_ = n;
   epoch_width_profile_.Record(static_cast<double>(n));
-  plan_cursor_ = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    plan_[k]->plan_index = static_cast<std::uint32_t>(k);
-  }
-  std::size_t i = 0;
-  while (i < n) {
-    Task* t = plan_[i];
-    if (t->cls == ExecClass::kParallel) {
-      // Maximal run of parallel-class tasks: one concurrent group.
-      std::size_t j = i;
-      while (j < n && plan_[j]->cls == ExecClass::kParallel) ++j;
-      ExecParallelGroup(i, j);
-      i = j;
-    } else if (LaneOf(t) == kCoord) {
-      // Untagged exclusive: inline on the coordinator.
-      plan_cursor_ = i;
-      if (!t->cancelled) RunTaskBody(t);
-      ++i;
-    } else {
-      // Maximal run of worker-lane exclusive tasks: chained serial
-      // segment, retired with one barrier.
-      std::size_t j = i;
-      while (j < n && plan_[j]->cls == ExecClass::kExclusive &&
-             LaneOf(plan_[j]) != kCoord) {
-        ++j;
-      }
-      ExecSerialSegment(i, j);
-      i = j;
-    }
-  }
-  plan_cursor_ = n;
-  // Lane accounting, applied after the wave so cancellation is settled.
-  for (std::size_t k = 0; k < n; ++k) {
-    Task* t = plan_[k];
-    if (t->cancelled) continue;
-    if (LaneOf(t) == kCoord) {
-      ++inline_events_;
-    } else {
-      ++dispatched_;
-    }
-  }
-}
-
-void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
-  // Chain consecutive same-node tasks (zero hand-offs inside a chain);
-  // baton-link each chain's tail to the next chain's head; the last
-  // tail owes the segment barrier.
-  Task* first_chain = nullptr;
-  Task* chain_head = nullptr;
-  Task* tail = nullptr;
-  std::uint32_t chain_len = 0;
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    t->run_next = nullptr;
-    t->chain_next = nullptr;
-    t->epoch_gate = nullptr;
-    t->weight = 1;
-    if (chain_head != nullptr && t->node == chain_head->node) {
-      tail->run_next = t;
-      tail = t;
-      ++chain_len;
-    } else {
-      if (chain_head != nullptr) {
-        chain_head->weight = chain_len;
-        tail->chain_next = t;
-      } else {
-        first_chain = t;
-      }
-      chain_head = t;
-      tail = t;
-      chain_len = 1;
-    }
-  }
-  chain_head->weight = chain_len;
-  tail->epoch_gate = &epoch_gate_;
-  epoch_gate_.Reset(1);
-  Hand(first_chain);
-  epoch_gate_.Wait();
-}
-
-void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
+  // One chain per node worker; same-node tasks keep FIFO order. Group
+  // tasks come fresh from the pool, so run_next is null and weight 1.
   const std::size_t num_workers = workers_.size();
   group_heads_.assign(num_workers, nullptr);
   group_tails_.assign(num_workers, nullptr);
   std::size_t chains = 0;
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    t->run_next = nullptr;
-    t->chain_next = nullptr;
-    t->epoch_gate = nullptr;
-    t->weight = 1;
-    t->parallel_group = true;
+  for (Task* t : group_) {
     const std::uint32_t lane = LaneOf(t);
     if (lane == kCoord) continue;
-    // Same-node tasks keep FIFO order in one chain per worker.
     if (group_heads_[lane] == nullptr) {
       group_heads_[lane] = t;
       ++chains;
@@ -354,57 +209,51 @@ void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
       ++group_heads_[lane]->weight;
     }
     group_tails_[lane] = t;
+    ++dispatched_;
   }
-  // Arm the barrier before anything is in flight: one arrival per
-  // chain (its tail).
+  // Arm the gate before anything is in flight: one arrival per chain.
   epoch_gate_.Reset(chains);
-  for (std::size_t node = 0; node < num_workers; ++node) {
-    Task* head = group_heads_[node];
-    if (head == nullptr) continue;
-    group_tails_[node]->epoch_gate = &epoch_gate_;
-    Hand(head);
+  for (Task* head : group_heads_) {
+    // Mailboxes close only in Shutdown(), after which every lane is the
+    // coordinator's, so no push can fail here.
+    if (head != nullptr && !workers_[head->node]->box.Push(head)) {
+      Fail("a worker mailbox closed while a group was running");
+    }
   }
   // The coordinator's share while workers chew: its untagged tasks.
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    if (LaneOf(t) == kCoord && !t->cancelled) RunTaskBody(t);
+  for (Task* t : group_) {
+    if (LaneOf(t) != kCoord) continue;
+    ++inline_events_;
+    RunTaskBody(t);
   }
   epoch_gate_.Wait();
-  // Replay deferred schedules in plan-slot order — identical sequence
+  // Replay deferred schedules in slot order — identical sequence
   // assignment to the serial oracle, which ran each callback (and its
   // schedules) at exactly this slot position.
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    t->parallel_group = false;
+  for (Task* t : group_) {
     for (DeferredSchedule& d : t->deferred) {
       Schedule(d.node, d.when, std::move(d.fn), d.cls);
     }
-    t->deferred.clear();
+    pool_->Release(t);
   }
-}
-
-void ThreadRuntime::ReleaseWave() {
-  for (Task* t : plan_) {
-    if (t->fn != nullptr) {
-      // Repeat-series task: owned by its wrapper for the series' life;
-      // clear only the wave-transient state.
-      t->weight = 1;
-      t->parallel_group = false;
-      t->cancelled = false;
-      t->run_next = nullptr;
-      t->chain_next = nullptr;
-      t->epoch_gate = nullptr;
-    } else {
-      pool_->Release(t);
-    }
-  }
-  plan_.clear();
+  group_.clear();
 }
 
 void ThreadRuntime::WorkerLoop(std::uint32_t index) {
   Worker& w = *workers_[index];
-  while (Task* task = w.box.Pop()) {
-    RunChain(task, &w);
+  while (Task* head = w.box.Pop()) {
+    for (Task* t = head; t != nullptr; t = t->run_next) {
+      if (metrics_ == nullptr) {
+        RunTaskBody(t);
+      } else {
+        // Busy time feeds only PublishMetrics: no registry, no clock.
+        SteadyClock::time_point start = SteadyClock::now();
+        RunTaskBody(t);
+        w.busy += SteadyClock::now() - start;
+      }
+    }
+    // Touch no task after this: the coordinator may recycle them.
+    epoch_gate_.Arrive();
   }
   // Mailbox closed and drained: rendezvous so no worker exits while a
   // sibling still holds undrained work.

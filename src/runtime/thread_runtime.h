@@ -16,8 +16,8 @@
 namespace tdr::runtime {
 
 /// Real-threads execution backend: every cluster node gets its own OS
-/// worker thread with an MPSC mailbox, and node-tagged events execute
-/// on that node's thread.
+/// worker thread with an MPSC mailbox, and same-timestamp parallel
+/// groups overlap across those workers.
 ///
 /// Ordering is the key design decision. The cluster shares genuinely
 /// cross-node state — one Executor, one WaitForGraph, one metrics
@@ -25,31 +25,32 @@ namespace tdr::runtime {
 /// without giving up the semantics the paper's model (and the sim
 /// oracle) defines. The backend wraps the cluster's own sim::Simulator
 /// as the virtual clock and event order, and a coordinator (whoever
-/// calls Run/RunUntil) drives it in epochs: it collects every ready
-/// event that shares the next virtual timestamp into one WAVE, plans
-/// it into segments, and retires each segment with a single counted
-/// barrier. Runs of same-node events collapse into chains (zero
-/// hand-offs inside a chain); at a node switch the finishing worker
-/// batons the next chain directly to its peer's mailbox (one wake per
-/// switch); and consecutive ScheduleParallel* events on distinct
-/// nodes — callbacks that touch only node-private state, see
-/// runtime.h — genuinely overlap across workers. Untagged (kAnyNode)
-/// events run inline on the coordinator.
+/// calls Run/RunUntil) steps it one event at a time:
+///
+///  * an exclusive event (every Schedule*/Schedule*Node) runs inline
+///    on the coordinator, inside its wrapper, as it fires — exactly
+///    where the bare simulator would run it;
+///  * consecutive same-timestamp ScheduleParallel* events — callbacks
+///    that touch only node-private state, see runtime.h — collect into
+///    one pending GROUP. The group is retired before the next exclusive
+///    event runs or the timestamp changes: one chain per node worker
+///    (same-node tasks keep FIFO order), untagged tasks on the
+///    coordinator, one EpochGate wait, then the schedules the group's
+///    tasks issued are replayed in slot order.
 ///
 /// The oracle contract holds by construction: exclusive events execute
-/// in exact (time, seq) order (chains and batons are just cheap
-/// signalling for the same total order), parallel groups only contain
-/// events whose mutual order is unobservable, and schedules issued
-/// inside a parallel group are deferred and replayed in plan-slot
-/// order so sequence numbers come out exactly as the serial sim would
-/// have assigned them. runtime_differential_test checks every scheme
-/// against the sim oracle.
+/// in exact (time, seq) order on one thread, a group only contains
+/// events whose mutual order is unobservable, and the deferred replay
+/// assigns sequence numbers exactly as the serial sim would have.
+/// Because a pending group is always retired before any task that may
+/// Cancel runs, Cancel is the clock's own. runtime_differential_test
+/// and wal_differential_test check every scheme against the sim oracle.
 ///
 /// Every event must be scheduled THROUGH this runtime (true for the
 /// whole cluster): an event scheduled directly on the underlying
-/// simulator would execute during wave collection, ahead of lower-seq
-/// collected events. RunEpochs checks this on every step and aborts
-/// on a violation.
+/// simulator would bypass the group bookkeeping. RunEpochs checks on
+/// every step that exactly one runtime wrapper fired, and aborts on a
+/// violation.
 ///
 /// Dispatch is allocation-free: scheduling acquires a pooled Task
 /// (runtime/task_pool.h), moves the callback into it, and registers a
@@ -58,9 +59,8 @@ namespace tdr::runtime {
 /// (runtime_task_pool_test pins this with the alloc-audit harness).
 ///
 /// Mailboxes are unbounded and need no backpressure: the coordinator
-/// waits on every segment's barrier before planning the next, so a
-/// mailbox never holds more than one chain and its depth never exceeds
-/// the widest wave.
+/// waits on every group's gate before stepping on, so a mailbox holds
+/// at most one chain and its depth never exceeds the widest group.
 class ThreadRuntime final : public Runtime {
  public:
   /// Epoch dispatch is the only mode. The enum and Options::dispatch
@@ -95,7 +95,7 @@ class ThreadRuntime final : public Runtime {
     return ScheduleAfterNode(kAnyNode, delay, std::move(fn));
   }
   sim::EventId RepeatEvery(SimTime interval, sim::Callback fn) override;
-  bool Cancel(sim::EventId id) override;
+  bool Cancel(sim::EventId id) override { return clock_->Cancel(id); }
   std::uint64_t RunUntil(SimTime horizon) override;
   std::uint64_t Run(std::uint64_t max_events = (1ULL << 32)) override;
   bool Idle() const override { return clock_->Idle(); }
@@ -138,12 +138,12 @@ class ThreadRuntime final : public Runtime {
   const Mailbox& mailbox(std::uint32_t node) const {
     return workers_[node]->box;
   }
-  /// Events executed on worker threads / inline on the coordinator.
-  /// Both are deterministic: the split is a pure function of the
-  /// seeded scenario, not of wall-clock races.
+  /// Group tasks executed on worker threads / every other event, run
+  /// inline on the coordinator. Both are deterministic: the split is a
+  /// pure function of the seeded scenario, not of wall-clock races.
   std::uint64_t dispatched() const { return dispatched_; }
   std::uint64_t inline_events() const { return inline_events_; }
-  /// Epoch shape: waves executed and the widest wave (plan slots).
+  /// Parallel groups retired and the widest group (tasks).
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t epoch_width_max() const { return epoch_width_max_; }
   const TaskPool& task_pool() const { return *pool_; }
@@ -197,30 +197,26 @@ class ThreadRuntime final : public Runtime {
   }
 
   /// Every schedule funnels here: defers if called from inside a
-  /// parallel group, else registers a pooled wrapper with the clock.
+  /// parallel-class task, else registers a pooled wrapper with the
+  /// clock.
   sim::EventId Schedule(std::uint32_t node, SimTime when, sim::Callback fn,
                         ExecClass cls);
-  /// Wrapper fire (one-shot or repeat tick): appends to the wave plan.
+  /// Wrapper fire (one-shot or repeat tick): a parallel task joins the
+  /// pending group; an exclusive one retires the group, then runs.
   void OnWrapperFire(Task* task);
   /// Invokes the task's callback (borrowed or owned) with the
   /// deferred-schedule context set.
   void RunTaskBody(Task* task);
-  /// Worker side: runs a chain, then batons its successor chain to
-  /// the next worker or arrives at the segment barrier.
-  void RunChain(Task* head, Worker* worker);
-  /// Queues a chain on its node's worker.
-  void Hand(Task* head);
 
-  // --- Epoch engine (coordinator only) ------------------------------
+  // --- Coordinator only ---------------------------------------------
   std::uint64_t RunEpochs(SimTime horizon, std::uint64_t max_events,
                           bool bounded_horizon);
-  void ExecuteWave();
-  void ExecSerialSegment(std::size_t begin, std::size_t end);
-  void ExecParallelGroup(std::size_t begin, std::size_t end);
-  /// Executor for a planned task: its node's worker, or kCoord for
+  /// Runs the pending group across the workers, waits on the gate,
+  /// replays its deferred schedules and releases its tasks.
+  void RetireGroup();
+  /// Executor for a group task: its node's worker, or kCoord for
   /// untagged tasks and after Shutdown().
   std::uint32_t LaneOf(const Task* task) const;
-  void ReleaseWave();
 
   void WorkerLoop(std::uint32_t index);
   void PublishMetrics();
@@ -235,21 +231,20 @@ class ThreadRuntime final : public Runtime {
   std::shared_ptr<TaskPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   StopBarrier barrier_;
-  EpochGate epoch_gate_;  // one per in-flight segment
+  EpochGate epoch_gate_;  // the in-flight group's chains arrive here
   bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
   std::uint64_t inline_events_ = 0;
 
-  // Wave state (coordinator-owned; workers see tasks via mailbox HB).
-  bool collecting_ = false;
-  std::vector<Task*> plan_;
-  /// Plan index currently executing — the floor of Cancel's sweep.
-  /// Written by whichever thread runs each exclusive task; the baton
-  /// hand-off orders every write-then-read.
-  std::size_t plan_cursor_ = 0;
+  // Group state (coordinator-owned; workers see tasks via mailbox HB).
+  /// Parallel tasks fired at Now() and not yet run, in seq order.
+  std::vector<Task*> group_;
+  /// Armed before each clock step; the runtime wrapper that step fires
+  /// disarms it.
+  bool stepping_ = false;
   std::uint64_t epochs_ = 0;
   std::uint64_t epoch_width_max_ = 0;
-  // Scratch reused across waves (capacity sticks, no per-wave allocs).
+  // Scratch reused across groups (capacity sticks, no per-group allocs).
   std::vector<Task*> group_heads_;
   std::vector<Task*> group_tails_;
   obs::MetricsRegistry::StatsHandle epoch_width_profile_;

@@ -77,7 +77,7 @@ void GroupCommitter::StartFlush() {
   const std::uint64_t epoch = epoch_;
   // Two halves: the sync itself touches only this node's file, so it
   // runs as a parallel-class event (concurrent with other nodes' syncs
-  // under epoch dispatch); advancing the durable line and firing parked
+  // on the thread backend); advancing the durable line and firing parked
   // commits mutate shared state, so that stays an exclusive event,
   // chained at the same virtual time. Under the sim backend the split
   // is just two back-to-back events — same bits either way.

@@ -43,7 +43,7 @@ Program TpcbWorkload::NextTransaction(Rng& rng,
   std::uint32_t account = branch * options_.accounts_per_branch +
                           static_cast<std::uint32_t>(
                               rng.UniformInt(options_.accounts_per_branch));
-  std::int64_t amount = rng.UniformRange(1, options_.max_amount);
+  std::int64_t amount = rng.UniformRange(1, kMaxAmount);
   if (rng.Bernoulli(0.5)) amount = -amount;  // debit or credit
   std::uint32_t partition = static_cast<std::uint32_t>(
       rng.UniformInt(options_.history_partitions));

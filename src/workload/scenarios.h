@@ -32,8 +32,10 @@ class TpcbWorkload {
     std::uint32_t tellers_per_branch = 10;
     std::uint32_t accounts_per_branch = 100;
     std::uint32_t history_partitions = 8;
-    std::int64_t max_amount = 100;  // |delta| drawn from [1, max]
   };
+
+  /// |delta| of each transaction is drawn from [1, kMaxAmount].
+  static constexpr std::int64_t kMaxAmount = 100;
 
   explicit TpcbWorkload(Options options);
 

@@ -10,8 +10,7 @@ ProgramGenerator::ProgramGenerator(Options options)
     : options_(std::move(options)) {
   assert(options_.db_size > 0);
   assert(options_.actions > 0);
-  assert(!options_.distinct_objects ||
-         options_.actions <= options_.db_size);
+  assert(options_.actions <= options_.db_size);
   double total = options_.mix.write + options_.mix.add +
                  options_.mix.subtract + options_.mix.append +
                  options_.mix.read;
@@ -70,8 +69,8 @@ Program ProgramGenerator::Next(Rng& rng) {
 
 void ProgramGenerator::NextInto(Rng& rng, Program* out) {
   out->Clear();
-  if (options_.distinct_objects && zipf_ == nullptr && hot_span_ == 0) {
-    // Uniform + distinct: sample without replacement.
+  if (zipf_ == nullptr && hot_span_ == 0) {
+    // Uniform: sample without replacement.
     rng.SampleWithoutReplacementInto(options_.db_size, options_.actions,
                                      &sample_scratch_);
     for (std::uint64_t oid : sample_scratch_) {
@@ -81,24 +80,22 @@ void ProgramGenerator::NextInto(Rng& rng, Program* out) {
     }
     return;
   }
-  // Zipfian (or repeats allowed): rejection-sample distinctness.
+  // Skewed: rejection-sample distinctness.
   chosen_scratch_.clear();
   for (std::uint32_t i = 0; i < options_.actions; ++i) {
     ObjectId oid = PickObject(rng);
-    if (options_.distinct_objects) {
-      bool dup = false;
-      for (ObjectId c : chosen_scratch_) {
-        if (c == oid) {
-          dup = true;
-          break;
-        }
+    bool dup = false;
+    for (ObjectId c : chosen_scratch_) {
+      if (c == oid) {
+        dup = true;
+        break;
       }
-      if (dup) {
-        --i;
-        continue;
-      }
-      chosen_scratch_.push_back(oid);
     }
+    if (dup) {
+      --i;
+      continue;
+    }
+    chosen_scratch_.push_back(oid);
     std::int64_t operand =
         rng.UniformRange(options_.operand_lo, options_.operand_hi);
     out->Add(Op{PickType(rng), oid, operand});
@@ -134,14 +131,13 @@ void OpenLoopArrivals::ScheduleNext() {
   double gap_seconds = options_.poisson
                            ? rng_.Exponential(1.0 / options_.tps)
                            : 1.0 / options_.tps;
-  pending_ = rt_->ScheduleAfterNode(
-      options_.node_affinity, SimTime::Seconds(gap_seconds), [this]() {
-        pending_ = sim::kInvalidEventId;
-        if (!running_) return;
-        ++arrivals_;
-        on_arrival_();
-        ScheduleNext();
-      });
+  pending_ = rt_->ScheduleAfter(SimTime::Seconds(gap_seconds), [this]() {
+    pending_ = sim::kInvalidEventId;
+    if (!running_) return;
+    ++arrivals_;
+    on_arrival_();
+    ScheduleNext();
+  });
 }
 
 }  // namespace tdr

@@ -287,7 +287,7 @@ TEST(PooledMessageFaultTest, PartitionParkAndRedeliverConverges) {
   for (std::uint32_t i = 0; i < kNodes; ++i) all_nodes[i] = i;
   Ownership ownership = Ownership::RoundRobin(kDbSize, all_nodes);
   LazyMasterScheme::Options sopts;
-  sopts.batch = BatchShipper::Options{SimTime::Millis(50), 0, true};
+  sopts.batch = BatchShipper::Options{SimTime::Millis(50), 0};
   LazyMasterScheme scheme(&cluster, &ownership, sopts);
 
   fault::InvariantChecker::Options iopts;

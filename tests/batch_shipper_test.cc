@@ -28,9 +28,9 @@ UpdateRecord Rec(ObjectId oid, std::uint64_t old_c, std::uint64_t new_c,
 
 TEST(UpdateBatchBuilderTest, CoalescingCompactsUpdateChains) {
   UpdateBatchBuilder builder;
-  builder.Add(Rec(7, 0, 1, 10), /*coalesce=*/true);
-  builder.Add(Rec(9, 0, 2, 20), /*coalesce=*/true);
-  builder.Add(Rec(7, 1, 3, 30), /*coalesce=*/true);  // chain hop on oid 7
+  builder.Add(Rec(7, 0, 1, 10));
+  builder.Add(Rec(9, 0, 2, 20));
+  builder.Add(Rec(7, 1, 3, 30));  // chain hop on oid 7
   EXPECT_EQ(builder.size(), 2u);
   EXPECT_EQ(builder.coalesced(), 1u);
   UpdateBatch batch = builder.Take(0, 1, 1, SimTime::Zero());
@@ -43,16 +43,8 @@ TEST(UpdateBatchBuilderTest, CoalescingCompactsUpdateChains) {
   EXPECT_EQ(batch.coalesced, 1u);
   // Take resets the builder (and its compaction index).
   EXPECT_TRUE(builder.empty());
-  builder.Add(Rec(7, 3, 4, 40), true);
+  builder.Add(Rec(7, 3, 4, 40));
   EXPECT_EQ(builder.size(), 1u);
-  EXPECT_EQ(builder.coalesced(), 0u);
-}
-
-TEST(UpdateBatchBuilderTest, NoCoalesceKeepsEveryRecord) {
-  UpdateBatchBuilder builder;
-  builder.Add(Rec(7, 0, 1, 10), /*coalesce=*/false);
-  builder.Add(Rec(7, 1, 2, 20), /*coalesce=*/false);
-  EXPECT_EQ(builder.size(), 2u);
   EXPECT_EQ(builder.coalesced(), 0u);
 }
 

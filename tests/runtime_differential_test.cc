@@ -3,7 +3,7 @@
 // must produce IDENTICAL final state — full-state digest, every
 // per-shard digest, commit/deadlock counts, and the invariant
 // checker's verdict. The thread backend executes the same virtual
-// (time, seq) event order, wave at a time, so equivalence is by
+// (time, seq) event order, so equivalence is by
 // construction; this suite is what keeps that construction honest for
 // all six scheme configurations across a spread of seeds.
 //
@@ -88,15 +88,10 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
     EXPECT_EQ(sim_out.invariant_violations, 0u);
     EXPECT_EQ(thr_out.invariant_violations, 0u);
     EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
-    // The run did real cross-thread work: every thread-backend run
-    // dispatched events to workers.
-    EXPECT_GT(thr_out.runtime_dispatched, 0u);
-    EXPECT_GT(thr_out.runtime_epochs, 0u);
-    // The bound that makes mailbox backpressure unnecessary: segments
-    // retire behind a barrier, so no worker's mailbox ever queues
-    // more than one wave's worth of tasks.
-    EXPECT_LE(thr_out.runtime_mailbox_max_depth,
-              thr_out.runtime_epoch_width_max);
+    // These configs have no WAL, so no parallel-class events: every
+    // event ran inline on the coordinator and no mailbox saw a push.
+    // wal_differential_test covers groups that reach the workers.
+    EXPECT_EQ(thr_out.runtime_mailbox_pushed, 0u);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <vector>
 
@@ -59,7 +60,7 @@ TEST(TaskPoolTest, ReleaseRecyclesAndResetsTransientState) {
   t->fn = &t->owned;
   t->weight = 7;
   t->node = 3;
-  t->cancelled = true;
+  t->cls = runtime::ExecClass::kParallel;
   t->deferred.push_back({0, SimTime::Zero(), runtime::ExecClass::kExclusive,
                          [] {}});
   pool.Release(t);
@@ -70,7 +71,7 @@ TEST(TaskPoolTest, ReleaseRecyclesAndResetsTransientState) {
   EXPECT_EQ(again->fn, nullptr);
   EXPECT_FALSE(static_cast<bool>(again->owned));
   EXPECT_EQ(again->weight, 1u);
-  EXPECT_FALSE(again->cancelled);
+  EXPECT_EQ(again->cls, runtime::ExecClass::kExclusive);
   EXPECT_TRUE(again->deferred.empty());
   pool.Release(again);
 }
@@ -120,19 +121,19 @@ TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 }
 
-// Scheduling a wave wider than the pool's birth capacity (256 tasks)
-// grows it once (counted) and the next identical wave reuses the grown
-// pool — no further growth.
+// Scheduling a parallel group wider than the pool's birth capacity
+// (256 tasks) grows it once (counted) and the next identical group
+// reuses the grown pool — no further growth.
 TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   constexpr int kPerNode = 80;  // 4 nodes x 80 = 320 live tasks
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/4, {}, nullptr);
   EXPECT_EQ(rt.task_pool().capacity(), 256u);
-  int ran = 0;
+  std::atomic<int> ran{0};
   auto wave = [&](SimTime when) {
     for (std::uint32_t node = 0; node < 4; ++node) {
       for (int k = 0; k < kPerNode; ++k) {
-        rt.ScheduleAtNode(node, when, [&] { ++ran; });
+        rt.ScheduleParallelAtNode(node, when, [&] { ran.fetch_add(1); });
       }
     }
   };
@@ -140,12 +141,12 @@ TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   EXPECT_GT(rt.task_pool().grow_events(), 0u);
   const std::uint64_t grown = rt.task_pool().grow_events();
   rt.Run();
-  EXPECT_EQ(ran, 4 * kPerNode);
+  EXPECT_EQ(ran.load(), 4 * kPerNode);
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 
   wave(SimTime::Millis(2));
   rt.Run();
-  EXPECT_EQ(ran, 8 * kPerNode);
+  EXPECT_EQ(ran.load(), 8 * kPerNode);
   EXPECT_EQ(rt.task_pool().grow_events(), grown);  // pool was reused
   EXPECT_EQ(rt.epochs(), 2u);
   EXPECT_EQ(rt.epoch_width_max(), 4u * kPerNode);

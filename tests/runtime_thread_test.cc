@@ -1,7 +1,8 @@
 // ThreadRuntime semantics: parity with the sim backend it wraps,
-// per-node thread placement, shutdown idempotence, epoch waves, the
-// schedule-through-the-runtime precondition, and the SharedPool
-// teardown-order contract on a thread-backend cluster. Runs under TSan
+// exclusive events inline on the coordinator, parallel groups on the
+// node workers, shutdown idempotence, the schedule-through-the-runtime
+// precondition, and the SharedPool teardown-order contract on a
+// thread-backend cluster. Runs under TSan
 // via the `tsan`/`runtime` ctest labels.
 
 #include "runtime/thread_runtime.h"
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,63 +59,42 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
             static_cast<std::uint64_t>(expected.size()));
 }
 
-TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
+// Exclusive events run on the coordinator whatever their node tag:
+// nothing crosses to a worker, and no mailbox sees a push.
+TEST(ThreadRuntimeTest, NodeTaggedExclusiveEventsRunOnTheCoordinator) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/3, {}, nullptr);
-  std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(3);
   for (std::uint32_t node = 0; node < 3; ++node) {
     rt.ScheduleAfterNode(node, SimTime::Millis(1 + node), [&seen, node] {
       seen[node] = std::this_thread::get_id();
     });
   }
-  std::thread::id untagged;
-  rt.ScheduleAfter(SimTime::Millis(9),
-                   [&] { untagged = std::this_thread::get_id(); });
   rt.Run();
-  // Each node's event ran on a dedicated worker, none on the
-  // coordinator; untagged (kAnyNode) events run inline.
   for (std::uint32_t node = 0; node < 3; ++node) {
-    EXPECT_NE(seen[node], coordinator) << "node " << node;
-    for (std::uint32_t other = 0; other < node; ++other) {
-      EXPECT_NE(seen[node], seen[other]);
-    }
+    EXPECT_EQ(seen[node], std::this_thread::get_id()) << "node " << node;
+    EXPECT_EQ(rt.mailbox(node).pushed(), 0u) << "node " << node;
   }
-  EXPECT_EQ(untagged, coordinator);
-  EXPECT_EQ(rt.dispatched(), 3u);
-  EXPECT_EQ(rt.inline_events(), 1u);
-}
-
-TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
-  std::vector<std::thread::id> runs;
-  for (int i = 0; i < 5; ++i) {
-    rt.ScheduleAfterNode(1, SimTime::Millis(i + 1),
-                         [&] { runs.push_back(std::this_thread::get_id()); });
-  }
-  rt.Run();
-  ASSERT_EQ(runs.size(), 5u);
-  for (const auto& id : runs) EXPECT_EQ(id, runs[0]);
-  EXPECT_EQ(rt.mailbox(1).pushed(), 5u);
-  EXPECT_EQ(rt.mailbox(0).pushed(), 0u);
+  EXPECT_EQ(rt.dispatched(), 0u);
+  EXPECT_EQ(rt.inline_events(), 3u);
+  EXPECT_EQ(rt.epochs(), 0u);
 }
 
 TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   int ran = 0;
-  rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
+  rt.ScheduleParallelAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
   rt.Run();
   EXPECT_EQ(ran, 1);
   rt.Shutdown();
   rt.Shutdown();  // idempotent
   EXPECT_TRUE(rt.stopped());
-  // Post-shutdown scheduling still works — events run inline on the
-  // coordinator, same order, same results.
+  // Post-shutdown scheduling still works — parallel groups run inline
+  // on the coordinator, same order, same results.
   std::thread::id where;
-  rt.ScheduleAfterNode(1, SimTime::Millis(1),
-                       [&] { where = std::this_thread::get_id(); });
+  rt.ScheduleParallelAfterNode(1, SimTime::Millis(1),
+                               [&] { where = std::this_thread::get_id(); });
   rt.Run();
   EXPECT_EQ(where, std::this_thread::get_id());
   EXPECT_EQ(rt.dispatched(), 1u);
@@ -132,10 +113,12 @@ TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
 }
 
 // Same-timestamp semantics: events on every node at one instant, an
-// untagged event and a cancel of a collected same-time event inside
-// that wave, and zero-delay follow-ups that form the next wave at the
-// same instant. The fire log (order and virtual times) must match the
-// bare simulator's.
+// untagged event and a cancel of a later same-time event, zero-delay
+// follow-ups at the same instant, and two runs of parallel-class
+// events split by an exclusive one. Each parallel task schedules a
+// zero-delay follow-up, which must still fire after every event
+// already pending at that instant. The fire log (order and virtual
+// times) must match the bare simulator's.
 TEST(EpochDispatchTest, SemanticsMatchBareSimulator) {
   auto scenario = [](runtime::Runtime& rt) {
     std::vector<std::pair<int, double>> log;
@@ -158,61 +141,104 @@ TEST(EpochDispatchTest, SemanticsMatchBareSimulator) {
     });
     victim = rt.ScheduleAtNode(3, SimTime::Millis(5),
                                [&] { log.emplace_back(22, 0.0); });
+    // Parallel tasks write only their own node's slot; their follow-ups
+    // are exclusive and write the shared log.
+    std::vector<std::vector<double>> par(4);
+    auto parallel = [&rt, &log, &par](std::uint32_t node) {
+      rt.ScheduleParallelAtNode(node, SimTime::Millis(5), [&, node] {
+        par[node].push_back(rt.Now().seconds());
+        rt.ScheduleAfterNode(node, SimTime::Zero(), [&rt, &log, node] {
+          log.emplace_back(30 + static_cast<int>(node), rt.Now().seconds());
+        });
+      });
+    };
+    parallel(0);
+    parallel(1);
+    rt.ScheduleAt(SimTime::Millis(5),
+                  [&] { log.emplace_back(40, rt.Now().seconds()); });
+    parallel(2);
+    parallel(3);
     rt.RunUntil(SimTime::Millis(8));
     EXPECT_EQ(rt.Now(), SimTime::Millis(8));
+    for (std::uint32_t node = 0; node < 4; ++node) {
+      for (double at : par[node]) {
+        log.emplace_back(50 + static_cast<int>(node), at);
+      }
+    }
     return log;
   };
   sim::Simulator plain;
   auto expected = scenario(plain);
+  // The oracle itself: the parallel tasks' follow-ups fire last at 5 ms.
+  ASSERT_EQ(expected.size(), 19u);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(expected[11 + k].first, 30 + k);
 
   sim::Simulator clock;
   ThreadRuntime threads(&clock, /*num_nodes=*/4, {}, nullptr);
   auto actual = scenario(threads);
   EXPECT_EQ(actual, expected);
-  // Wave 1: seven events at 5 ms (the cancelled one keeps its slot);
-  // wave 2: the four zero-delay follow-ups.
+  // Two parallel groups of two: the exclusive event between them
+  // splits the run; everything else ran inline.
   EXPECT_EQ(threads.epochs(), 2u);
-  EXPECT_EQ(threads.epoch_width_max(), 7u);
+  EXPECT_EQ(threads.epoch_width_max(), 2u);
+  EXPECT_EQ(threads.dispatched(), 4u);
 }
 
-// Same-timestamp events tagged to distinct nodes form ONE wave and run
-// on the distinct node workers — the epoch-dispatch headline.
-TEST(EpochDispatchTest, WaveRunsDistinctNodesOnTheirWorkers) {
+// Same-timestamp parallel-class events form ONE group: each node's
+// tasks run on that node's worker (never the coordinator), distinct
+// nodes on distinct threads, one mailbox push per node, and same-node
+// tasks share their thread in FIFO order.
+TEST(EpochDispatchTest, ParallelGroupRunsEachNodeOnItsWorker) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/4, {}, nullptr);
   std::thread::id coordinator = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(4);
-  for (std::uint32_t node = 0; node < 4; ++node) {
-    rt.ScheduleAtNode(node, SimTime::Millis(1), [&seen, node] {
-      seen[node] = std::this_thread::get_id();
-    });
+  constexpr int kPerNode = 3;
+  // Written only by node n's worker.
+  std::vector<std::vector<std::thread::id>> seen(4);
+  std::vector<std::vector<int>> order(4);
+  for (int k = 0; k < kPerNode; ++k) {
+    for (std::uint32_t node = 0; node < 4; ++node) {
+      rt.ScheduleParallelAtNode(node, SimTime::Millis(1), [&, node, k] {
+        seen[node].push_back(std::this_thread::get_id());
+        order[node].push_back(k);
+      });
+    }
   }
   rt.Run();
   EXPECT_EQ(rt.epochs(), 1u);
-  EXPECT_EQ(rt.epoch_width_max(), 4u);
-  EXPECT_EQ(rt.dispatched(), 4u);
+  EXPECT_EQ(rt.epoch_width_max(), 4u * kPerNode);
+  EXPECT_EQ(rt.dispatched(), 4u * kPerNode);
+  EXPECT_EQ(rt.inline_events(), 0u);
   for (std::uint32_t node = 0; node < 4; ++node) {
-    EXPECT_NE(seen[node], coordinator) << "node " << node;
+    SCOPED_TRACE("node " + std::to_string(node));
+    EXPECT_EQ(rt.mailbox(node).pushed(), 1u);
+    EXPECT_EQ(order[node], (std::vector<int>{0, 1, 2}));
+    ASSERT_EQ(seen[node].size(), static_cast<std::size_t>(kPerNode));
+    for (const std::thread::id& id : seen[node]) {
+      EXPECT_EQ(id, seen[node][0]);
+    }
+    EXPECT_NE(seen[node][0], coordinator);
     for (std::uint32_t other = 0; other < node; ++other) {
-      EXPECT_NE(seen[node], seen[other]);
+      EXPECT_NE(seen[node][0], seen[other][0]);
     }
   }
 }
 
-// Events on ONE node at one timestamp stay FIFO on that node's worker
-// even mid-wave — the per-node serial guarantee.
+// Parallel events on ONE node at one timestamp stay FIFO on that
+// node's worker inside their group — the per-node serial guarantee.
 TEST(EpochDispatchTest, SameNodeSameTimeKeepsFifoOrder) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    rt.ScheduleAtNode(1, SimTime::Millis(1),
-                      [&order, i] { order.push_back(i); });
+    rt.ScheduleParallelAtNode(1, SimTime::Millis(1),
+                              [&order, i] { order.push_back(i); });
   }
   rt.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(rt.epochs(), 1u);
   EXPECT_EQ(rt.epoch_width_max(), 5u);
+  EXPECT_EQ(rt.mailbox(1).pushed(), 1u);
 }
 
 // Parallel-class tasks on distinct nodes genuinely overlap in wall
@@ -240,7 +266,7 @@ TEST(EpochDispatchTest, ParallelClassTasksOverlapInWallTime) {
 }
 
 // Schedules made INSIDE a parallel-class task are deferred (id
-// kInvalidEventId, fire-and-forget) and fire on the next wave.
+// kInvalidEventId, fire-and-forget) and fire once the group retires.
 TEST(EpochDispatchTest, DeferredScheduleFromParallelTaskFires) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
@@ -256,8 +282,8 @@ TEST(EpochDispatchTest, DeferredScheduleFromParallelTaskFires) {
 }
 
 // An exclusive event cancelling a SAME-timestamp, later-seq event must
-// hit it even though both are already collected into the wave plan —
-// the GroupCommitter window-cancel pattern.
+// hit it — the GroupCommitter window-cancel pattern. Exclusive events
+// run as they fire, so the victim is still pending in the clock.
 TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
   sim::Simulator clock;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, {}, nullptr);
@@ -273,9 +299,9 @@ TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
   EXPECT_FALSE(victim_ran);
 }
 
-// An event scheduled directly on the wrapped simulator would run
-// during wave collection, ahead of lower-seq collected events. The
-// runtime must refuse loudly instead of silently reordering.
+// An event scheduled directly on the wrapped simulator would bypass the
+// runtime's group bookkeeping. The runtime must refuse loudly instead
+// of silently reordering.
 TEST(ThreadRuntimeDeathTest, DirectSimulatorEventAbortsWaveCollection) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto run = [] {

@@ -102,7 +102,12 @@ TEST_P(WalDifferentialTest, CrashRecoveryMatchesSimOracle) {
     EXPECT_GT(sim_out.wal_records, 0u);
     EXPECT_GT(sim_out.wal_flushes, 0u);
     EXPECT_EQ(sim_out.wal_recoveries, 1u);
+    // Group-commit flushes are parallel-class: groups reached the
+    // workers. Groups retire behind a gate, so no mailbox ever queues
+    // more than one group's worth of tasks.
     EXPECT_GT(thr_out.runtime_dispatched, 0u);
+    EXPECT_LE(thr_out.runtime_mailbox_max_depth,
+              thr_out.runtime_epoch_width_max);
   }
 }
 

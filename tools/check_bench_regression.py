@@ -9,8 +9,9 @@ baselines committed at the repo root, row by row:
   * deterministic outputs (digests, commit/abort counts) must be EXACT
     — these come from seeded virtual-time runs, so any drift is a
     behavior change, not noise;
-  * rate metrics (committed_per_sec, *_rate) get a relative tolerance
-    band (default ±25%);
+  * rate metrics (committed_per_sec, *_rate) and bytes_per_committed
+    (heap bytes, which move with the size of any pooled struct) get a
+    relative tolerance band (default ±25%);
   * wall-clock and syscall-count columns are ignored — they measure
     the machine, not the model.
 
@@ -70,6 +71,11 @@ EXACT_FIELDS = (
 # baseline recorded before a rounding change doesn't hard-fail.
 RATE_SUFFIXES = ("_per_sec", "_rate")
 
+# Allocation-audit bytes: deterministic per build, but they follow the
+# sizeof of every pooled struct, so they get the rate band. Allocation
+# counts (allocs_per_committed) stay exact.
+BANDED_FIELDS = ("bytes_per_committed",)
+
 # Machine-dependent measurements: never compared.
 IGNORED_FIELDS = (
     "wall_seconds",
@@ -113,7 +119,7 @@ def classify(field):
         return "skip"
     if field in EXACT_FIELDS:
         return "exact"
-    if field.endswith(RATE_SUFFIXES):
+    if field in BANDED_FIELDS or field.endswith(RATE_SUFFIXES):
         return "rate"
     # Unknown metric: compare exactly if it isn't numeric noise we know
     # about — new deterministic columns get gated by default.
